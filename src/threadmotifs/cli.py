@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import astuple, dataclass, field
 from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
@@ -32,7 +34,6 @@ from .macro_metrics import ecdf, lower_median, macro_record
 from .motif_census import (
     MotifCensus,
     census_fast,
-    census_naive,
     completion_fractions,
     get_class_table,
     motif_instances,
@@ -74,7 +75,6 @@ class RunConfig:
     out_dir: Path | None
     policy: FilterPolicy = field(default_factory=FilterPolicy)
     bins: BinSpec = field(default_factory=BinSpec)
-    census_mode: str = "fast"
     branching_mode: str = "internal"
     rarity_threshold: float = DEFAULT_RARITY_THRESHOLD
     jobs: int = 1
@@ -96,96 +96,90 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _load_corpus(config: RunConfig) -> list[ThreadRecord]:
-    """Parse and filter the input corpus, reporting problems on stderr."""
+def _thread_rows(config: RunConfig, row_fn: Callable[[ThreadRecord], list]) -> list:
+    """Parse and filter the corpus, then apply row_fn to each kept thread.
+
+    Problems go to stderr. row_fn runs in input order, on a worker pool when
+    ``config.jobs`` > 1, and its per-thread row lists are concatenated.
+    """
     errors: list[Exception] = []
-    with open(config.input_path, encoding="utf-8") as fh:
-        threads = list(parse_corpus(fh, on_error=errors.append))
+    with open(config.input_path, "rb") as fh:
+        # splitlines() ends lines where text mode would: \n, \r\n or a lone \r.
+        lines = (line for chunk in fh for line in chunk.splitlines())
+        threads = list(parse_corpus(lines, on_error=errors.append))
     for err in errors:
         _diag(f"warning: skipped {err}")
     if errors:
         _diag(f"warning: {len(errors)} malformed line(s)/thread(s) skipped")
-    filtered = filter_corpus(threads, config.policy)
-    dropped = len(threads) - len(filtered)
+    kept = filter_corpus(threads, config.policy)
+    dropped = len(threads) - len(kept)
     if dropped:
         _diag(f"info: filter dropped {dropped} of {len(threads)} threads")
-    if not filtered:
+    if not kept:
         _diag("warning: no threads remain after filtering")
-    return filtered
+    if config.jobs <= 1 or len(kept) < 2:
+        return [row for thread in kept for row in row_fn(thread)]
+    with Pool(processes=config.jobs) as pool:
+        chunk = max(1, len(kept) // (config.jobs * 8))
+        per_thread = pool.imap(row_fn, kept, chunksize=chunk)
+        return [row for rows in per_thread for row in rows]
 
 
-def _map_ordered(fn: Callable, items: Sequence, jobs: int) -> list:
-    """Apply fn over items, optionally on a worker pool, preserving order."""
-    if jobs <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with Pool(processes=jobs) as pool:
-        chunk = max(1, len(items) // (jobs * 8))
-        return list(pool.imap(fn, items, chunksize=chunk))
+# Row functions live at module level so they pickle for the pool. Each maps
+# one thread to its output rows; reals stay unformatted for the caller.
+
+def _macro_rows(thread: ThreadRecord, branching_mode: str) -> list[tuple]:
+    # MacroRecord's fields are the macro_metrics.csv columns, in order.
+    return [astuple(macro_record(thread, branching_mode))]
 
 
-# Worker functions live at module level so they pickle for the pool.
-
-def _census_worker(thread: ThreadRecord, mode: str):
-    table = get_class_table()
-    graph = build_user_graph(thread)
-    census = census_fast(graph, table) if mode == "fast" else census_naive(graph, table)
-    return thread.thread_id, thread.source, census
+def _census_rows(thread: ThreadRecord, bins: BinSpec) -> list[list]:
+    census = census_fast(build_user_graph(thread), get_class_table())
+    bin_index = bins.bin_of(census.n_users)
+    label = "" if bin_index is None else bins.labels[bin_index]
+    return [[thread.thread_id, thread.source, census.n_users, label, *census.counts]]
 
 
-def _degree_worker(thread: ThreadRecord):
-    return (
-        thread.thread_id,
-        degree_sequences(build_user_graph(thread)),
-        degree_sequences(build_reply_graph(thread)),
-    )
-
-
-def _timing_worker(thread: ThreadRecord, class_name: str):
-    table = get_class_table()
-    cls = table.named(class_name)
+def _timing_rows(thread: ThreadRecord, class_name: str) -> list[tuple]:
+    cls = get_class_table().named(class_name)
     graph = build_user_graph(thread)
     t0, t1 = thread_lifetime(thread)
     pairs = motif_instances(graph, cls)
     fractions = completion_fractions(graph, cls, t0, t1)
-    return thread.thread_id, [
-        (graph.users[v], graph.users[w], frac)
+    return [
+        ("instance", thread.thread_id, graph.users[v], graph.users[w], frac)
         for (v, w), frac in zip(pairs, fractions)
+    ]
+
+
+def _degree_rows(thread: ThreadRecord) -> list[tuple]:
+    user, reply = build_user_graph(thread), build_reply_graph(thread)
+    return [
+        (r.kind, f"{thread.thread_id}:{node}", din, dout)
+        for r in (degree_sequences(user), degree_sequences(reply))
+        for node, din, dout in zip(r.nodes, r.in_degrees, r.out_degrees)
     ]
 
 
 def cmd_macro(config: RunConfig) -> int:
     """Write macro_metrics.csv and one ECDF CSV per metric."""
-    threads = _load_corpus(config)
-    worker = partial(macro_record, branching_mode=config.branching_mode)
-    records = _map_ordered(worker, threads, config.jobs)
-    rows = [
-        (
-            r.thread_id,
-            r.n_posts,
-            r.n_users,
-            _fmt(r.responsiveness_median_s),
-            _fmt(r.reciprocity),
-            _fmt(r.op_betweenness),
-            _fmt(r.branching_factor),
-        )
-        for r in records
-    ]
-    _write_csv(config.out_dir / "macro_metrics.csv", MACRO_HEADER, rows)
-    for metric in ECDF_METRICS:
-        samples = [
-            getattr(r, metric) for r in records if getattr(r, metric) is not None
-        ]
-        path = config.out_dir / f"ecdf_{metric}.csv"
-        if not samples:
+    row_fn = partial(_macro_rows, branching_mode=config.branching_mode)
+    rows = _thread_rows(config, row_fn)
+    _write_csv(
+        config.out_dir / "macro_metrics.csv",
+        MACRO_HEADER,
+        [(*r[:3], *map(_fmt, r[3:])) for r in rows],
+    )
+    for column, metric in enumerate(ECDF_METRICS, start=3):
+        samples = [r[column] for r in rows if r[column] is not None]
+        points = []
+        if samples:
+            curve = ecdf(samples)
+            points = [(_fmt(v), _fmt(f)) for v, f in zip(curve.values, curve.fractions)]
+        else:
             _diag(f"warning: no defined values for {metric}, ECDF is empty")
-            _write_csv(path, ("value", "cum_fraction"), [])
-            continue
-        curve = ecdf(samples)
-        _write_csv(
-            path,
-            ("value", "cum_fraction"),
-            [(_fmt(v), _fmt(f)) for v, f in zip(curve.values, curve.fractions)],
-        )
+        path = config.out_dir / f"ecdf_{metric}.csv"
+        _write_csv(path, ("value", "cum_fraction"), points)
     return EXIT_OK
 
 
@@ -195,21 +189,17 @@ def census_header(class_names: Sequence[str]) -> list[str]:
 
 def cmd_census(config: RunConfig) -> int:
     """Write census.csv: per-thread anchored class counts plus bin label."""
-    threads = _load_corpus(config)
-    table = get_class_table()
-    worker = partial(_census_worker, mode=config.census_mode)
-    results = _map_ordered(worker, threads, config.jobs)
-    rows = []
-    for thread_id, source, census in results:
-        bin_index = config.bins.bin_of(census.n_users)
-        label = "" if bin_index is None else config.bins.labels[bin_index]
-        rows.append([thread_id, source, census.n_users, label, *census.counts])
-    _write_csv(config.out_dir / "census.csv", census_header(table.names), rows)
+    rows = _thread_rows(config, partial(_census_rows, bins=config.bins))
+    header = census_header(get_class_table().names)
+    _write_csv(config.out_dir / "census.csv", header, rows)
     return EXIT_OK
 
 
 def read_census_csv(path: Path, class_names: Sequence[str]) -> list[MotifCensus]:
-    """Load censuses back from a census.csv, enforcing the exact schema."""
+    """Load censuses back from a census.csv, enforcing the exact schema.
+
+    Every row's counts must sum to C(n_users - 1, 2), as a census does.
+    """
     expected = census_header(class_names)
     with open(path, encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -234,6 +224,12 @@ def read_census_csv(path: Path, class_names: Sequence[str]) -> list[MotifCensus]
                 raise CorpusParseError(line_no, f"{path}: bad census row ({err})")
             if len(counts) != len(class_names):
                 raise CorpusParseError(line_no, f"{path}: bad census row width")
+            if n_users < 1 or sum(counts) != math.comb(n_users - 1, 2):
+                raise CorpusParseError(
+                    line_no,
+                    f"{path}: census counts sum to {sum(counts)}, "
+                    f"not C(n_users - 1, 2) for n_users = {n_users}",
+                )
             censuses.append(MotifCensus(counts, n_users))
     return censuses
 
@@ -243,28 +239,30 @@ def cmd_compare(focus_path: Path, baseline_path: Path, config: RunConfig) -> int
     table = get_class_table()
     focus = read_census_csv(focus_path, table.names)
     baseline = read_census_csv(baseline_path, table.names)
-    null = fit_null_model(assign_bins(baseline, config.bins))
-    report = z_scores(assign_bins(focus, config.bins), null, table.names)
-    expression = classify_expression(report, config.rarity_threshold)
-    rows = []
-    for cell, label in zip(report.cells, expression.cell_labels):
-        rows.append(
-            (
-                cell.bin_label,
-                cell.class_name,
-                cell.m_baseline,
-                _fmt(cell.mu_null),
-                _fmt(cell.sigma_null),
-                _fmt(cell.se_null),
-                cell.n_focus,
-                _fmt(cell.mean_focus),
-                _fmt(cell.sigma_focus),
-                _fmt(cell.se_focus),
-                _fmt(cell.z),
-                label,
-                cell.reason or "",
+    binned_baseline = assign_bins(baseline, config.bins)
+    binned_focus = assign_bins(focus, config.bins)
+    for side, binned in (("focus", binned_focus), ("baseline", binned_baseline)):
+        if binned.unbinned:
+            _diag(
+                f"warning: {len(binned.unbinned)} {side} graph(s) "
+                "outside every bin left unbinned"
             )
+    null = fit_null_model(binned_baseline)
+    report = z_scores(binned_focus, null, table.names)
+    expression = classify_expression(report, config.rarity_threshold)
+    rows = [
+        (
+            cell.bin_label,
+            cell.class_name,
+            cell.m_baseline,
+            *map(_fmt, (cell.mu_null, cell.sigma_null, cell.se_null)),
+            cell.n_focus,
+            *map(_fmt, (cell.mean_focus, cell.sigma_focus, cell.se_focus, cell.z)),
+            label,
+            cell.reason or "",
         )
+        for cell, label in zip(report.cells, expression.cell_labels)
+    ]
     _write_csv(config.out_dir / "compare.csv", COMPARE_HEADER, rows)
     summary_rows = [
         (name, "+".join(sorted(expression.class_labels[name])))
@@ -278,50 +276,30 @@ def cmd_compare(focus_path: Path, baseline_path: Path, config: RunConfig) -> int
 
 def cmd_timing(config: RunConfig, class_name: str) -> int:
     """Write timing.csv: per-instance completion fractions plus their median."""
-    threads = _load_corpus(config)
-    worker = partial(_timing_worker, class_name=class_name)
-    results = _map_ordered(worker, threads, config.jobs)
-    rows = []
-    fractions = []
-    for thread_id, instances in results:
-        for v_user, w_user, frac in instances:
-            rows.append(("instance", thread_id, v_user, w_user, _fmt(frac)))
-            fractions.append(frac)
-    if fractions:
-        rows.append(("median", "", "", "", _fmt(lower_median(fractions))))
+    rows = _thread_rows(config, partial(_timing_rows, class_name=class_name))
+    if rows:
+        rows.append(("median", "", "", "", lower_median([r[4] for r in rows])))
     else:
         _diag(f"warning: no instances of {class_name} found, median undefined")
     _write_csv(
         config.out_dir / "timing.csv",
         ("kind", "thread_id", "v_user", "w_user", "fraction"),
-        rows,
+        [(*r[:4], _fmt(r[4])) for r in rows],
     )
     return EXIT_OK
 
 
 def cmd_degrees(config: RunConfig) -> int:
     """Write per-node degrees and corpus-wide degree histograms."""
-    threads = _load_corpus(config)
-    results = _map_ordered(_degree_worker, threads, config.jobs)
-    node_rows = []
-    hist: dict[tuple[str, str, int], int] = {}
-    for thread_id, user_report, reply_report in results:
-        for report in (user_report, reply_report):
-            for node, din, dout in zip(
-                report.nodes, report.in_degrees, report.out_degrees
-            ):
-                node_rows.append((report.kind, f"{thread_id}:{node}", din, dout))
-            for kind_label, histogram in (
-                ("in", report.in_histogram()),
-                ("out", report.out_histogram()),
-            ):
-                for degree, count in histogram.items():
-                    key = (report.kind, kind_label, degree)
-                    hist[key] = hist.get(key, 0) + count
+    rows = _thread_rows(config, _degree_rows)
+    hist = Counter()
+    for kind, _, din, dout in rows:
+        hist[kind, "in", din] += 1
+        hist[kind, "out", dout] += 1
     _write_csv(
         config.out_dir / "degrees.csv",
         ("graph", "node", "in_degree", "out_degree"),
-        node_rows,
+        rows,
     )
     _write_csv(
         config.out_dir / "degree_hist.csv",
@@ -367,7 +345,7 @@ def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         type=int,
         default=0,
-        help="worker processes (default: all processors)",
+        help="worker processes (default 0: all processors)",
     )
 
 
@@ -398,7 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="anchored triadic motif census per thread")
     _add_corpus_args(p)
     _add_bins_arg(p)
-    p.add_argument("--census-mode", choices=("fast", "naive"), default="fast")
 
     p = sub.add_parser("compare", help="Z-scores of a focus census vs a baseline")
     p.add_argument("--focus", required=True, help="focus census.csv")
@@ -432,18 +409,17 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     )
     bins_text = getattr(args, "bins", None)
     bins = BinSpec.parse(bins_text) if bins_text else BinSpec()
-    jobs = getattr(args, "jobs", 0)
-    if jobs <= 0:
-        jobs = os.cpu_count() or 1
+    jobs = getattr(args, "jobs", 0) or os.cpu_count() or 1
+    if jobs < 0:
+        raise ValueError("--jobs must be non-negative (0 means all processors)")
     rarity = getattr(args, "rarity_threshold", DEFAULT_RARITY_THRESHOLD)
-    if rarity < 0:
-        raise ValueError("rarity threshold must be non-negative")
+    if not (math.isfinite(rarity) and rarity >= 0):
+        raise ValueError("rarity threshold must be a finite non-negative number")
     return RunConfig(
         input_path=Path(args.input) if getattr(args, "input", None) else None,
         out_dir=Path(args.out) if getattr(args, "out", None) else None,
         policy=policy,
         bins=bins,
-        census_mode=getattr(args, "census_mode", "fast"),
         branching_mode=getattr(args, "branching_mode", "internal"),
         rarity_threshold=rarity,
         jobs=jobs,

@@ -83,16 +83,11 @@ class DegreeReport:
 
 def build_reply_graph(thread: ThreadRecord) -> ReplyGraph:
     """One node per post, one edge from each reply to the post it answers."""
-    index = {p.id: i for i, p in enumerate(thread.posts)}
-    parent_of = tuple(
-        None if p.parent is None else index[p.parent] for p in thread.posts
-    )
-    root = next(i for i, p in enumerate(thread.posts) if p.parent is None)
     return ReplyGraph(
-        post_ids=tuple(p.id for p in thread.posts),
-        timestamps=tuple(p.t for p in thread.posts),
-        parent_of=parent_of,
-        root=root,
+        post_ids=thread.post_ids,
+        timestamps=thread.timestamps,
+        parent_of=thread.parent_of,
+        root=thread.root,
     )
 
 
@@ -101,28 +96,20 @@ def build_user_graph(thread: ThreadRecord) -> UserGraph:
 
     A reply by user u to a post authored by user v (u != v) contributes the
     edge u -> v; repeat interactions keep the earliest timestamp. Replies to
-    one's own posts contribute nothing.
+    one's own posts contribute nothing. Users keep the thread's numbering.
     """
-    user_index: dict[str, int] = {}
-    for post in thread.posts:
-        user_index.setdefault(post.author, len(user_index))
-    author_of = {p.id: p.author for p in thread.posts}
+    author_of = thread.author_of
     edges: dict[tuple[int, int], int] = {}
-    for post in thread.posts:
-        if post.parent is None:
+    for u, parent, t in zip(author_of, thread.parent_of, thread.timestamps):
+        if parent is None:
             continue
-        u = user_index[post.author]
-        v = user_index[author_of[post.parent]]
+        v = author_of[parent]
         if u == v:
             continue
         key = (u, v)
-        if key not in edges or post.t < edges[key]:
-            edges[key] = post.t
-    return UserGraph(
-        users=tuple(user_index),
-        anchor=user_index[thread.root.author],
-        edges=edges,
-    )
+        if key not in edges or t < edges[key]:
+            edges[key] = t
+    return UserGraph(users=thread.users, anchor=author_of[thread.root], edges=edges)
 
 
 def degree_sequences(graph: ReplyGraph | UserGraph) -> DegreeReport:

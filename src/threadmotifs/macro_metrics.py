@@ -56,11 +56,11 @@ def lower_median(values: Sequence) -> float:
 
 def responsiveness_median(thread: ThreadRecord) -> int:
     """Median gap between chronologically consecutive posts, in seconds."""
-    if len(thread.posts) < 2:
+    if thread.n_posts < 2:
         raise UndefinedMetricError(
             f"thread {thread.thread_id!r}: responsiveness needs at least 2 posts"
         )
-    ts = sorted(p.t for p in thread.posts)
+    ts = sorted(thread.timestamps)
     gaps = [b - a for a, b in zip(ts, ts[1:])]
     return lower_median(gaps)
 
@@ -171,7 +171,7 @@ def macro_record(thread: ThreadRecord, branching_mode: str = "internal") -> Macr
         bf = None
     return MacroRecord(
         thread_id=thread.thread_id,
-        n_posts=len(thread.posts),
+        n_posts=thread.n_posts,
         n_users=ug.n_users,
         responsiveness_median_s=resp,
         reciprocity=reciprocity(ug),

@@ -36,19 +36,46 @@ class PostRecord:
 
 @dataclass(frozen=True)
 class ThreadRecord:
-    """A whole conversation thread; immutable once constructed."""
+    """One thread in columnar form, indexed once when it is built.
+
+    Post ``i`` has id ``post_ids[i]``, replies to post ``parent_of[i]``
+    (None for the root, whose index is ``root``), was written by
+    ``users[author_of[i]]`` and posted at ``timestamps[i]``. ``users`` holds
+    the distinct authors in order of first appearance. Build records with
+    ``from_posts`` or ``parse_thread_line``, which check the reply tree.
+    """
 
     thread_id: str
     source: str
-    posts: tuple[PostRecord, ...]
+    post_ids: tuple[str, ...]
+    parent_of: tuple[int | None, ...]
+    author_of: tuple[int, ...]
+    timestamps: tuple[int, ...]
+    users: tuple[str, ...]
+    root: int
+
+    @classmethod
+    def from_posts(
+        cls, thread_id: str, source: str, posts: Iterable[PostRecord]
+    ) -> ThreadRecord:
+        """Index and validate posts given in any order."""
+        rows = [(p.id, p.parent, p.author, p.t) for p in posts]
+        return _index_thread(thread_id, source, rows)
 
     @property
-    def root(self) -> PostRecord:
-        return next(p for p in self.posts if p.parent is None)
+    def posts(self) -> tuple[PostRecord, ...]:
+        """The posts as records, rebuilt from the columns on each access."""
+        ids, users = self.post_ids, self.users
+        return tuple(
+            PostRecord(pid, None if parent is None else ids[parent], users[author], t)
+            for pid, parent, author, t in zip(
+                ids, self.parent_of, self.author_of, self.timestamps
+            )
+        )
 
     @property
     def n_posts(self) -> int:
-        return len(self.posts)
+        return len(self.post_ids)
 
 
 @dataclass(frozen=True)
@@ -64,102 +91,107 @@ class FilterPolicy:
             raise ValueError("min_extra_posts must be non-negative")
 
 
-def validate_thread(thread: ThreadRecord) -> None:
-    """Raise ThreadValidationError unless the posts form a valid reply tree."""
-    if not thread.posts:
-        raise ThreadValidationError(thread.thread_id, "thread has no posts")
-    by_id: dict[str, PostRecord] = {}
-    roots = []
-    for post in thread.posts:
-        if not post.id:
-            raise ThreadValidationError(thread.thread_id, "empty post id")
-        if post.id in by_id:
-            raise ThreadValidationError(
-                thread.thread_id, f"duplicate post id {post.id!r}"
-            )
-        by_id[post.id] = post
-        if post.parent is None:
-            roots.append(post.id)
+def _index_thread(
+    thread_id: str, source: str, posts: list[tuple[str, str | None, str, int]]
+) -> ThreadRecord:
+    """Index (id, parent, author, t) posts once, checking they form a reply tree."""
+    if not posts:
+        raise ThreadValidationError(thread_id, "thread has no posts")
+    ids, parents, authors, timestamps = zip(*posts)
+    index: dict[str, int] = {}
+    for i, pid in enumerate(ids):
+        if not pid:
+            raise ThreadValidationError(thread_id, "empty post id")
+        if pid in index:
+            raise ThreadValidationError(thread_id, f"duplicate post id {pid!r}")
+        index[pid] = i
+    roots = [i for i, parent in enumerate(parents) if parent is None]
     if len(roots) != 1:
         raise ThreadValidationError(
-            thread.thread_id, f"expected exactly one root post, found {len(roots)}"
+            thread_id, f"expected exactly one root post, found {len(roots)}"
         )
-    children: dict[str, list[str]] = {p.id: [] for p in thread.posts}
-    for post in thread.posts:
-        if post.parent is None:
+    parent_of: list[int | None] = []
+    children: list[list[int]] = [[] for _ in ids]
+    for i, parent in enumerate(parents):
+        if parent is None:
+            parent_of.append(None)
             continue
-        if post.parent not in by_id:
+        p = index.get(parent)
+        if p is None:
             raise ThreadValidationError(
-                thread.thread_id,
-                f"post {post.id!r} replies to unknown parent {post.parent!r}",
+                thread_id, f"post {ids[i]!r} replies to unknown parent {parent!r}"
             )
-        children[post.parent].append(post.id)
+        parent_of.append(p)
+        children[p].append(i)
     # Every post must be reachable from the root, else the parent links cycle.
     reached = 0
     stack = [roots[0]]
     while stack:
         reached += 1
         stack.extend(children[stack.pop()])
-    if reached != len(thread.posts):
-        raise ThreadValidationError(thread.thread_id, "parent links contain a cycle")
+    if reached != len(ids):
+        raise ThreadValidationError(thread_id, "parent links contain a cycle")
+    user_index: dict[str, int] = {}
+    author_of = tuple(user_index.setdefault(a, len(user_index)) for a in authors)
+    users = tuple(user_index)
+    return ThreadRecord(
+        thread_id, source, ids, tuple(parent_of), author_of, timestamps, users, roots[0]
+    )
 
 
-def _require(condition: bool, line_no: int, message: str) -> None:
-    if not condition:
-        raise CorpusParseError(line_no, message)
-
-
-def parse_thread_line(line: str, line_no: int = 1) -> ThreadRecord:
-    """Parse and validate a single corpus line."""
+def parse_thread_line(line: str | bytes, line_no: int = 1) -> ThreadRecord:
+    """Parse and validate a single corpus line, given as text or UTF-8 bytes."""
     try:
+        if isinstance(line, bytes):
+            line = line.decode("utf-8")
         obj = json.loads(line)
+    except UnicodeDecodeError as err:
+        message = f"invalid UTF-8 ({err.reason} at byte offset {err.start})"
+        raise CorpusParseError(line_no, message) from err
     except json.JSONDecodeError as err:
         raise CorpusParseError(line_no, f"invalid JSON ({err.msg})") from err
-    _require(isinstance(obj, dict), line_no, "thread must be a JSON object")
+
+    def fail(message: str):
+        raise CorpusParseError(line_no, message)
+
+    if not isinstance(obj, dict):
+        fail("thread must be a JSON object")
     thread_id = obj.get("thread_id")
-    _require(
-        isinstance(thread_id, str) and bool(thread_id),
-        line_no,
-        "missing or empty 'thread_id'",
-    )
+    if not (isinstance(thread_id, str) and thread_id):
+        fail("missing or empty 'thread_id'")
     source = obj.get("source")
-    _require(source in SOURCES, line_no, f"'source' must be one of {SOURCES}")
+    if source not in SOURCES:
+        fail(f"'source' must be one of {SOURCES}")
     raw_posts = obj.get("posts")
-    _require(isinstance(raw_posts, list), line_no, "'posts' must be an array")
+    if not isinstance(raw_posts, list):
+        fail("'posts' must be an array")
     posts = []
     for raw in raw_posts:
-        _require(isinstance(raw, dict), line_no, "each post must be a JSON object")
-        pid, parent, author, t = (
-            raw.get("id"),
-            raw.get("parent"),
-            raw.get("author"),
-            raw.get("t"),
-        )
-        _require(isinstance(pid, str) and bool(pid), line_no, "post 'id' must be a non-empty string")
-        _require(
-            parent is None or isinstance(parent, str),
-            line_no,
-            f"post {pid!r}: 'parent' must be a string or null",
-        )
-        _require(isinstance(author, str), line_no, f"post {pid!r}: 'author' must be a string")
-        _require(
-            isinstance(t, int) and not isinstance(t, bool),
-            line_no,
-            f"post {pid!r}: 't' must be an integer",
-        )
-        posts.append(PostRecord(id=pid, parent=parent, author=author, t=t))
-    thread = ThreadRecord(thread_id=thread_id, source=source, posts=tuple(posts))
-    validate_thread(thread)
-    return thread
+        if not isinstance(raw, dict):
+            fail("each post must be a JSON object")
+        pid, parent = raw.get("id"), raw.get("parent")
+        author, t = raw.get("author"), raw.get("t")
+        if not (isinstance(pid, str) and pid):
+            fail("post 'id' must be a non-empty string")
+        if not (parent is None or isinstance(parent, str)):
+            fail(f"post {pid!r}: 'parent' must be a string or null")
+        if not isinstance(author, str):
+            fail(f"post {pid!r}: 'author' must be a string")
+        if not isinstance(t, int) or isinstance(t, bool):
+            fail(f"post {pid!r}: 't' must be an integer")
+        posts.append((pid, parent, author, t))
+    return _index_thread(thread_id, source, posts)
 
 
 def parse_corpus(
-    lines: Iterable[str],
+    lines: Iterable[str | bytes],
     on_error: Callable[[CorpusParseError | ThreadValidationError], None] | None = None,
 ) -> Iterator[ThreadRecord]:
     """Yield every well-formed thread from a line-delimited corpus dump.
 
-    Blank lines are skipped. When ``on_error`` is given, each malformed line
+    Lines may be text or bytes; bytes are decoded line by line, so an
+    undecodable line is reported like any other malformed one. Blank lines
+    are skipped. When ``on_error`` is given, each malformed line
     or invalid thread is reported to it and parsing continues; when it is
     None the first error is raised.
     """
@@ -199,9 +231,10 @@ def filter_corpus(
     """
     kept = []
     for thread in threads:
-        if len(thread.posts) - 1 < policy.min_extra_posts:
+        if thread.n_posts - 1 < policy.min_extra_posts:
             continue
-        if policy.drop_deleted_root and thread.root.author == policy.deleted_sentinel:
+        root_author = thread.users[thread.author_of[thread.root]]
+        if policy.drop_deleted_root and root_author == policy.deleted_sentinel:
             continue
         kept.append(thread)
     return kept
@@ -209,4 +242,4 @@ def filter_corpus(
 
 def thread_lifetime(thread: ThreadRecord) -> tuple[int, int]:
     """(root post timestamp, maximum timestamp over all posts)."""
-    return thread.root.t, max(p.t for p in thread.posts)
+    return thread.timestamps[thread.root], max(thread.timestamps)

@@ -12,7 +12,7 @@ from threadmotifs.thread_model import PostRecord, ThreadRecord
 
 def make_thread(thread_id, source, posts) -> ThreadRecord:
     """Build a thread from (id, parent, author, t) tuples."""
-    return ThreadRecord(thread_id, source, tuple(PostRecord(*p) for p in posts))
+    return ThreadRecord.from_posts(thread_id, source, (PostRecord(*p) for p in posts))
 
 
 def fig2_thread() -> ThreadRecord:

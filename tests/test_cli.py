@@ -6,7 +6,10 @@ import csv
 
 import pytest
 
-from threadmotifs.cli import main
+from threadmotifs.cli import census_header, main
+from threadmotifs.expression_stats import BinSpec
+from threadmotifs.graphs import build_user_graph
+from threadmotifs.motif_census import census_naive, get_class_table
 from threadmotifs.thread_model import to_json_line
 
 from support import fig2_thread, make_thread, synth_corpus
@@ -146,17 +149,23 @@ class TestCensusCommand:
         assert set(rows[1][4:]) == {"0"}
 
     def test_fast_and_naive_byte_identical(self, tmp_path):
-        corpus = write_corpus(
-            tmp_path / "c.jsonl", synth_corpus(60, "focus", 0.5, seed=101)
-        )
-        fast, naive = tmp_path / "fast", tmp_path / "naive"
-        assert main(
-            ["census", "--input", str(corpus), "--out", str(fast), "--census-mode", "fast"]
-        ) == 0
-        assert main(
-            ["census", "--input", str(corpus), "--out", str(naive), "--census-mode", "naive"]
-        ) == 0
-        assert (fast / "census.csv").read_bytes() == (naive / "census.csv").read_bytes()
+        # The CLI's census.csv, byte for byte, against rows built here from
+        # the naive oracle over the same threads.
+        threads = synth_corpus(60, "focus", 0.5, seed=101)
+        corpus = write_corpus(tmp_path / "c.jsonl", threads)
+        out = tmp_path / "census"
+        assert main(["census", "--input", str(corpus), "--out", str(out)]) == 0
+        table, bins = get_class_table(), BinSpec()
+        expected = [census_header(table.names)]
+        for thread in threads:
+            census = census_naive(build_user_graph(thread), table)
+            b = bins.bin_of(census.n_users)
+            label = "" if b is None else bins.labels[b]
+            expected.append(
+                [thread.thread_id, thread.source, census.n_users, label, *census.counts]
+            )
+        text = "".join(",".join(map(str, row)) + "\n" for row in expected)
+        assert (out / "census.csv").read_bytes() == text.encode()
 
     def test_jobs_do_not_change_output(self, tmp_path):
         corpus = write_corpus(
@@ -182,6 +191,29 @@ class TestCensusCommand:
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_invalid_utf8_line_is_skipped(self, tmp_path, capsys):
+        bad = to_json_line(filler_thread("bad", author="BAD")).encode()
+        lines = [
+            to_json_line(filler_thread("ok-1")).encode(),
+            bad.replace(b"BAD", b"r\xff"),
+            to_json_line(filler_thread("ok-3")).encode(),
+        ]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(b"\n".join(lines) + b"\n")
+        out = tmp_path / "census"
+        assert main(["census", "--input", str(corpus), "--out", str(out)]) == 0
+        rows = read_rows(out / "census.csv")
+        assert [r[0] for r in rows[1:]] == ["ok-1", "ok-3"]
+        err = capsys.readouterr().err
+        assert "line 2: invalid UTF-8" in err
+
+    def test_negative_jobs_is_config_error(self, tmp_path, fixture_corpus, capsys):
+        code = main(
+            ["census", "--input", str(fixture_corpus), "--out", str(tmp_path), "--jobs", "-7"]
+        )
+        assert code == 2
+        assert "--jobs" in capsys.readouterr().err
 
 
 def run_census(tmp_path, name, threads, *extra):
@@ -271,6 +303,50 @@ class TestCompareCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "column 8" in err and "wrong-name" in err
+
+    def test_census_total_mismatch_is_input_error(self, tmp_path, capsys):
+        census = run_census(
+            tmp_path, "good", synth_corpus(10, "focus", 0.5, seed=11)
+        )
+        bad = tmp_path / "bad.csv"
+        rows = read_rows(census)
+        rows[1][4] = str(int(rows[1][4]) + 100)
+        bad.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        code = main(
+            ["compare", "--focus", str(bad), "--baseline", str(census), "--out", str(tmp_path / "cmp")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "line 2" in err and str(bad) in err
+
+    def test_unbinned_graphs_are_reported(self, tmp_path, capsys):
+        big = [filler_thread(f"big{i}", n_replies=45 + i) for i in range(3)]
+        focus = run_census(tmp_path, "foc", [fig2_thread(), *big[:1]])
+        baseline = run_census(
+            tmp_path, "base", [fig2_thread(), filler_thread("b1", n_replies=6), *big[1:]]
+        )
+        capsys.readouterr()
+        out = tmp_path / "cmp"
+        assert main(
+            ["compare", "--focus", str(focus), "--baseline", str(baseline), "--out", str(out)]
+        ) == 0
+        warnings = [
+            line for line in capsys.readouterr().err.splitlines() if "unbinned" in line
+        ]
+        assert warnings == [
+            "warning: 1 focus graph(s) outside every bin left unbinned",
+            "warning: 2 baseline graph(s) outside every bin left unbinned",
+        ]
+
+    def test_non_finite_rarity_is_config_error(self, tmp_path, capsys):
+        census = run_census(tmp_path, "c", [fig2_thread()], "--min-extra-posts", "0")
+        for value in ("nan", "inf", "-1"):
+            code = main(
+                ["compare", "--focus", str(census), "--baseline", str(census),
+                 "--out", str(tmp_path / "cmp"), "--rarity-threshold", value]
+            )
+            assert code == 2, value
+        assert "rarity threshold" in capsys.readouterr().err
 
     def test_missing_file_is_input_error(self, tmp_path):
         census = run_census(tmp_path, "c", [fig2_thread()], "--min-extra-posts", "0")

@@ -102,7 +102,7 @@ class TestUserGraph:
             base = edge_names(build_user_graph(thread))
             posts = list(thread.posts)
             rng.shuffle(posts)
-            shuffled = ThreadRecord(thread.thread_id, thread.source, tuple(posts))
+            shuffled = ThreadRecord.from_posts(thread.thread_id, thread.source, posts)
             assert edge_names(build_user_graph(shuffled)) == base
 
     def test_matches_reply_graph_author_pairs(self):

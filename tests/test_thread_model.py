@@ -33,7 +33,8 @@ class TestParse:
         threads = list(parse_corpus([thread_json()]))
         assert len(threads) == 1
         assert threads[0].n_posts == 2
-        assert threads[0].root.id == "p0"
+        t = threads[0]
+        assert t.post_ids[t.root] == "p0"
 
     def test_orphan_parent_names_thread(self):
         line = thread_json(
