@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import os
 import sys
@@ -18,7 +19,7 @@ from dataclasses import astuple, dataclass, field
 from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CorpusParseError, ThreadMotifsError
 from .expression_stats import (
@@ -43,7 +44,7 @@ from .thread_model import (
     FilterPolicy,
     ThreadRecord,
     filter_corpus,
-    parse_corpus,
+    parse_numbered,
     thread_lifetime,
 )
 
@@ -65,6 +66,11 @@ COMPARE_HEADER = (
     "bin,class,M,mu_null,sigma_null,se_null,N,mean_focus,sigma_focus,se_focus,"
     "z,label,reason"
 ).split(",")
+# Corpus bytes per batch. Each batch of lines is parsed, filtered and turned
+# into rows in one step (in a worker at --jobs > 1), so no process ever holds
+# more than one batch of threads, and a batch is big enough that shipping it
+# costs little next to parsing it.
+BATCH_BYTES = 64 * 1024
 
 
 @dataclass
@@ -86,43 +92,129 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Write the CSV whole or not at all.
+
+    Rows go to a temporary file beside ``path`` that replaces it only once
+    every row is written, so a failed run leaves any earlier file in place.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _thread_rows(config: RunConfig, row_fn: Callable[[ThreadRecord], list]) -> list:
-    """Parse and filter the corpus, then apply row_fn to each kept thread.
+def _usable_cpus() -> int:
+    """The number of processors this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not available on every platform
+        return os.cpu_count() or 1
 
-    Problems go to stderr. row_fn runs in input order, on a worker pool when
-    ``config.jobs`` > 1, and its per-thread row lists are concatenated.
+
+def _line_batches(path: Path) -> Iterator[tuple[int, list[bytes]]]:
+    """Cut the corpus into (first line number, lines) batches of ~BATCH_BYTES."""
+    first_line, lines, size = 1, [], 0
+    with open(path, "rb") as fh:
+        for chunk in fh:
+            # splitlines() ends lines where text mode would: \n, \r\n or a lone \r,
+            # so a chunk may hold many lines and the size is checked per line.
+            for line in chunk.splitlines():
+                lines.append(line)
+                size += len(line) + 1
+                if size >= BATCH_BYTES:
+                    yield first_line, lines
+                    first_line, lines, size = first_line + len(lines), [], 0
+    if lines:
+        yield first_line, lines
+
+
+def _batch_rows(
+    row_fn: Callable[[ThreadRecord], list],
+    policy: FilterPolicy,
+    batch: tuple[int, list[bytes]],
+) -> list:
+    """Parse, filter and compute the rows of one (first line number, lines) batch.
+
+    Returns one item per non-blank line, in input order: the text of the
+    line's parse or validation error, or a (line number, thread id, rows)
+    triple for a valid thread, with rows None when the filter drops it.
+    Errors travel as text because the package's exceptions do not survive a
+    pickle round trip.
     """
-    errors: list[Exception] = []
-    with open(config.input_path, "rb") as fh:
-        # splitlines() ends lines where text mode would: \n, \r\n or a lone \r.
-        lines = (line for chunk in fh for line in chunk.splitlines())
-        threads = list(parse_corpus(lines, on_error=errors.append))
-    for err in errors:
-        _diag(f"warning: skipped {err}")
-    if errors:
-        _diag(f"warning: {len(errors)} malformed line(s)/thread(s) skipped")
-    kept = filter_corpus(threads, config.policy)
-    dropped = len(threads) - len(kept)
-    if dropped:
-        _diag(f"info: filter dropped {dropped} of {len(threads)} threads")
+    first_line, lines = batch
+    events: list = []  # errors and (line number, thread) pairs, in input order
+    for numbered in parse_numbered(lines, events.append, first_line):
+        events.append(numbered)
+    threads = [e[1] for e in events if isinstance(e, tuple)]
+    kept = {id(t) for t in filter_corpus(threads, policy)}
+    return [
+        (e[0], e[1].thread_id, row_fn(e[1]) if id(e[1]) in kept else None)
+        if isinstance(e, tuple)
+        else str(e)
+        for e in events
+    ]
+
+
+def _thread_rows(config: RunConfig, row_fn: Callable[[ThreadRecord], list]) -> Iterator:
+    """Yield row_fn's rows for each kept thread of the corpus, in input order.
+
+    Line batches go through _batch_rows, on a pool of up to ``config.jobs``
+    workers (never more than the usable processors) when the corpus spans
+    more than one batch. Problems go to stderr as the batches come back; a
+    thread whose id an earlier valid thread already has is skipped, whatever
+    the filter makes of either.
+    """
+    rest = _line_batches(config.input_path)
+    head = list(itertools.islice(rest, 2))
+    batches = itertools.chain(head, rest)
+    batch_fn = partial(_batch_rows, row_fn, config.policy)
+    workers = min(config.jobs, _usable_cpus())
+    if workers <= 1 or len(head) < 2:
+        yield from _merge_batches(map(batch_fn, batches))
+        return
+    with Pool(processes=workers) as pool:
+        yield from _merge_batches(pool.imap(batch_fn, batches, chunksize=1))
+
+
+def _merge_batches(results: Iterable[list]) -> Iterator:
+    """Report _batch_rows results on stderr, drop duplicate ids and yield rows."""
+    skipped = parsed = kept = 0
+    first_line_of: dict[str, int] = {}
+    for items in results:
+        for item in items:
+            if isinstance(item, str):
+                _diag(f"warning: skipped {item}")
+                skipped += 1
+                continue
+            line_no, thread_id, rows = item
+            first = first_line_of.setdefault(thread_id, line_no)
+            if first != line_no:
+                _diag(
+                    f"warning: skipped line {line_no}: duplicate thread_id "
+                    f"{thread_id!r} (first on line {first})"
+                )
+                skipped += 1
+                continue
+            parsed += 1
+            if rows is not None:
+                kept += 1
+                yield from rows
+    if skipped:
+        _diag(f"warning: {skipped} malformed line(s)/thread(s) skipped")
+    if parsed > kept:
+        _diag(f"info: filter dropped {parsed - kept} of {parsed} threads")
     if not kept:
         _diag("warning: no threads remain after filtering")
-    if config.jobs <= 1 or len(kept) < 2:
-        return [row for thread in kept for row in row_fn(thread)]
-    with Pool(processes=config.jobs) as pool:
-        chunk = max(1, len(kept) // (config.jobs * 8))
-        per_thread = pool.imap(row_fn, kept, chunksize=chunk)
-        return [row for rows in per_thread for row in rows]
 
 
 # Row functions live at module level so they pickle for the pool. Each maps
@@ -164,7 +256,7 @@ def _degree_rows(thread: ThreadRecord) -> list[tuple]:
 def cmd_macro(config: RunConfig) -> int:
     """Write macro_metrics.csv and one ECDF CSV per metric."""
     row_fn = partial(_macro_rows, branching_mode=config.branching_mode)
-    rows = _thread_rows(config, row_fn)
+    rows = list(_thread_rows(config, row_fn))
     _write_csv(
         config.out_dir / "macro_metrics.csv",
         MACRO_HEADER,
@@ -195,10 +287,14 @@ def cmd_census(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def read_census_csv(path: Path, class_names: Sequence[str]) -> list[MotifCensus]:
+def read_census_csv(
+    path: Path, class_names: Sequence[str], source: str | None = None
+) -> list[MotifCensus]:
     """Load censuses back from a census.csv, enforcing the exact schema.
 
     Every row's counts must sum to C(n_users - 1, 2), as a census does.
+    When ``source`` is given, one warning on stderr counts the rows whose
+    source column differs from it; those rows are still loaded.
     """
     expected = census_header(class_names)
     with open(path, encoding="utf-8") as fh:
@@ -216,6 +312,7 @@ def read_census_csv(path: Path, class_names: Sequence[str]) -> list[MotifCensus]
                     )
             raise CorpusParseError(1, f"{path}: census schema has extra columns")
         censuses = []
+        strays = 0
         for line_no, row in enumerate(reader, start=2):
             try:
                 n_users = int(row[2])
@@ -231,14 +328,21 @@ def read_census_csv(path: Path, class_names: Sequence[str]) -> list[MotifCensus]
                     f"not C(n_users - 1, 2) for n_users = {n_users}",
                 )
             censuses.append(MotifCensus(counts, n_users))
+            if source is not None and row[1] != source:
+                strays += 1
+    if strays:
+        _diag(
+            f"warning: {strays} of {len(censuses)} row(s) in the {source} census "
+            f"have another source"
+        )
     return censuses
 
 
 def cmd_compare(focus_path: Path, baseline_path: Path, config: RunConfig) -> int:
     """Standardize a focus census file against a baseline one."""
     table = get_class_table()
-    focus = read_census_csv(focus_path, table.names)
-    baseline = read_census_csv(baseline_path, table.names)
+    focus = read_census_csv(focus_path, table.names, "focus")
+    baseline = read_census_csv(baseline_path, table.names, "baseline")
     binned_baseline = assign_bins(baseline, config.bins)
     binned_focus = assign_bins(focus, config.bins)
     for side, binned in (("focus", binned_focus), ("baseline", binned_baseline)):
@@ -276,30 +380,40 @@ def cmd_compare(focus_path: Path, baseline_path: Path, config: RunConfig) -> int
 
 def cmd_timing(config: RunConfig, class_name: str) -> int:
     """Write timing.csv: per-instance completion fractions plus their median."""
-    rows = _thread_rows(config, partial(_timing_rows, class_name=class_name))
-    if rows:
-        rows.append(("median", "", "", "", lower_median([r[4] for r in rows])))
-    else:
-        _diag(f"warning: no instances of {class_name} found, median undefined")
+    fractions = []
+
+    def rows():
+        for row in _thread_rows(config, partial(_timing_rows, class_name=class_name)):
+            fractions.append(row[4])
+            yield (*row[:4], _fmt(row[4]))
+        if fractions:
+            yield ("median", "", "", "", _fmt(lower_median(fractions)))
+        else:
+            _diag(f"warning: no instances of {class_name} found, median undefined")
+
     _write_csv(
         config.out_dir / "timing.csv",
         ("kind", "thread_id", "v_user", "w_user", "fraction"),
-        [(*r[:4], _fmt(r[4])) for r in rows],
+        rows(),
     )
     return EXIT_OK
 
 
 def cmd_degrees(config: RunConfig) -> int:
     """Write per-node degrees and corpus-wide degree histograms."""
-    rows = _thread_rows(config, _degree_rows)
     hist = Counter()
-    for kind, _, din, dout in rows:
-        hist[kind, "in", din] += 1
-        hist[kind, "out", dout] += 1
+
+    def rows():
+        for row in _thread_rows(config, _degree_rows):
+            kind, _, din, dout = row
+            hist[kind, "in", din] += 1
+            hist[kind, "out", dout] += 1
+            yield row
+
     _write_csv(
         config.out_dir / "degrees.csv",
         ("graph", "node", "in_degree", "out_degree"),
-        rows,
+        rows(),
     )
     _write_csv(
         config.out_dir / "degree_hist.csv",
@@ -409,7 +523,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     )
     bins_text = getattr(args, "bins", None)
     bins = BinSpec.parse(bins_text) if bins_text else BinSpec()
-    jobs = getattr(args, "jobs", 0) or os.cpu_count() or 1
+    jobs = getattr(args, "jobs", 0) or _usable_cpus()
     if jobs < 0:
         raise ValueError("--jobs must be non-negative (0 means all processors)")
     rarity = getattr(args, "rarity_threshold", DEFAULT_RARITY_THRESHOLD)

@@ -7,17 +7,17 @@ class i, with m_k the count in the k-th of N focus graphs:
     Z_i = (1/N) * sum_k (m_k - mu_null) / sigma_null
         = (mean_focus - mu_null) / sigma_null
 
-Standard deviations are population ones (divisor M, no Bessel correction)
+Standard deviations are population ones (divisor M, no Bessel correction),
+and every sum runs over the graphs in input order with plain float adds,
 so results are reproducible bit for bit. Cells with an empty bin on either
 side, or zero baseline variance, carry an explicit reason instead of a Z.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .motif_census import MotifCensus
 
@@ -101,8 +101,31 @@ class NullModel:
 
     spec: BinSpec
     sizes: tuple[int, ...]  # baseline graphs per bin
-    mu: tuple[np.ndarray | None, ...]  # None marks an empty bin
-    sigma: tuple[np.ndarray | None, ...]
+    mu: tuple[tuple[float, ...] | None, ...]  # None marks an empty bin
+    sigma: tuple[tuple[float, ...] | None, ...]
+
+
+def _mean_sigma(
+    group: Sequence[MotifCensus],
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Per-class mean and population sigma over a non-empty group of censuses.
+
+    Counts are integers, so each column's sum is exact before the one
+    division by n. The squared deviations are added one graph at a time in
+    group order with plain float adds: ``sum`` compensates the rounding on
+    Python 3.12+ and would change the last bits between interpreters.
+    """
+    n = len(group)
+    means, sigmas = [], []
+    for column in zip(*(c.counts for c in group)):
+        mean = float(sum(column)) / n
+        squares = 0.0
+        for count in column:
+            deviation = count - mean
+            squares += deviation * deviation
+        means.append(mean)
+        sigmas.append(math.sqrt(squares / n))
+    return tuple(means), tuple(sigmas)
 
 
 def fit_null_model(baseline: BinnedCensuses) -> NullModel:
@@ -110,13 +133,9 @@ def fit_null_model(baseline: BinnedCensuses) -> NullModel:
     sizes, mus, sigmas = [], [], []
     for group in baseline.groups:
         sizes.append(len(group))
-        if not group:
-            mus.append(None)
-            sigmas.append(None)
-            continue
-        counts = np.array([c.counts for c in group], dtype=float)
-        mus.append(counts.mean(axis=0))
-        sigmas.append(counts.std(axis=0))  # ddof=0: population sigma
+        mu, sigma = _mean_sigma(group) if group else (None, None)
+        mus.append(mu)
+        sigmas.append(sigma)
     return NullModel(baseline.spec, tuple(sizes), tuple(mus), tuple(sigmas))
 
 
@@ -164,12 +183,10 @@ def z_scores(
             continue  # bin empty in both corpora: nothing to report
         mu = null.mu[b]
         sigma = null.sigma[b]
-        se_null = None if mu is None else sigma / np.sqrt(m)
+        se_null = None if mu is None else [s / math.sqrt(m) for s in sigma]
         if n:
-            focus_counts = np.array([c.counts for c in group], dtype=float)
-            mean_f = focus_counts.mean(axis=0)
-            sigma_f = focus_counts.std(axis=0)
-            se_f = sigma_f / np.sqrt(n)
+            mean_f, sigma_f = _mean_sigma(group)
+            se_f = [s / math.sqrt(n) for s in sigma_f]
         else:
             mean_f = sigma_f = se_f = None
         for i, name in enumerate(class_names):
@@ -181,20 +198,20 @@ def z_scores(
             elif sigma[i] == 0.0:
                 reason = REASON_ZERO_VARIANCE
             else:
-                z = float((mean_f[i] - mu[i]) / sigma[i])
+                z = (mean_f[i] - mu[i]) / sigma[i]
             cells.append(
                 ZCell(
                     bin_index=b,
                     bin_label=label,
                     class_name=name,
                     m_baseline=m,
-                    mu_null=None if mu is None else float(mu[i]),
-                    sigma_null=None if sigma is None else float(sigma[i]),
-                    se_null=None if se_null is None else float(se_null[i]),
+                    mu_null=None if mu is None else mu[i],
+                    sigma_null=None if sigma is None else sigma[i],
+                    se_null=None if se_null is None else se_null[i],
                     n_focus=n,
-                    mean_focus=None if mean_f is None else float(mean_f[i]),
-                    sigma_focus=None if sigma_f is None else float(sigma_f[i]),
-                    se_focus=None if se_f is None else float(se_f[i]),
+                    mean_focus=None if mean_f is None else mean_f[i],
+                    sigma_focus=None if sigma_f is None else sigma_f[i],
+                    se_focus=None if se_f is None else se_f[i],
                     z=z,
                     reason=reason,
                 )

@@ -195,11 +195,25 @@ def parse_corpus(
     or invalid thread is reported to it and parsing continues; when it is
     None the first error is raised.
     """
-    for line_no, line in enumerate(lines, start=1):
+    for _, thread in parse_numbered(lines, on_error):
+        yield thread
+
+
+def parse_numbered(
+    lines: Iterable[str | bytes],
+    on_error: Callable[[CorpusParseError | ThreadValidationError], None] | None = None,
+    first_line: int = 1,
+) -> Iterator[tuple[int, ThreadRecord]]:
+    """Like ``parse_corpus``, but yield (line number, thread) pairs.
+
+    ``lines[0]`` is numbered ``first_line``, so a caller that parses a dump
+    in pieces keeps the dump's line numbers.
+    """
+    for line_no, line in enumerate(lines, start=first_line):
         if not line.strip():
             continue
         try:
-            yield parse_thread_line(line, line_no)
+            yield line_no, parse_thread_line(line, line_no)
         except (CorpusParseError, ThreadValidationError) as err:
             if on_error is None:
                 raise

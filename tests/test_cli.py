@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import csv
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import threadmotifs
+from threadmotifs import cli
 from threadmotifs.cli import census_header, main
 from threadmotifs.expression_stats import BinSpec
 from threadmotifs.graphs import build_user_graph
@@ -208,6 +215,60 @@ class TestCensusCommand:
         err = capsys.readouterr().err
         assert "line 2: invalid UTF-8" in err
 
+    def test_duplicate_thread_id_keeps_first(self, tmp_path, monkeypatch, capsys):
+        lines = [
+            to_json_line(filler_thread("t1")),
+            to_json_line(filler_thread("t2")),
+            to_json_line(filler_thread("t1", n_replies=7)),
+        ]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(cli, "BATCH_BYTES", 1)  # one line per batch
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"j{jobs}"
+            assert main(["census", "--input", str(corpus), "--out", str(out), "--jobs", jobs]) == 0
+            outputs.append(((out / "census.csv").read_bytes(), capsys.readouterr().err))
+        assert outputs[0] == outputs[1]
+        rows = read_rows(tmp_path / "j1" / "census.csv")
+        assert [(r[0], r[2]) for r in rows[1:]] == [("t1", "6"), ("t2", "6")]
+        err = outputs[0][1]
+        assert "warning: skipped line 3: duplicate thread_id 't1' (first on line 1)" in err
+        assert "warning: 1 malformed line(s)/thread(s) skipped" in err
+
+    def test_workers_capped_at_usable_processors(self, tmp_path, monkeypatch):
+        class RecordingPool:
+            """Stands in for multiprocessing.Pool without starting processes."""
+
+            sizes = []
+
+            def __init__(self, processes):
+                self.sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "Pool", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        corpus = write_corpus(
+            tmp_path / "c.jsonl", [filler_thread(f"t{i}") for i in range(6)]
+        )
+        args = ["census", "--input", str(corpus), "--jobs", "5000"]
+        assert main([*args, "--out", str(tmp_path / "one")]) == 0
+        assert RecordingPool.sizes == []  # a single batch runs serially
+        monkeypatch.setattr(cli, "BATCH_BYTES", 1)
+        assert main([*args, "--out", str(tmp_path / "many")]) == 0
+        assert RecordingPool.sizes == [3]
+        assert (tmp_path / "one" / "census.csv").read_bytes() == (
+            tmp_path / "many" / "census.csv"
+        ).read_bytes()
+
     def test_negative_jobs_is_config_error(self, tmp_path, fixture_corpus, capsys):
         code = main(
             ["census", "--input", str(fixture_corpus), "--out", str(tmp_path), "--jobs", "-7"]
@@ -348,6 +409,25 @@ class TestCompareCommand:
             assert code == 2, value
         assert "rarity threshold" in capsys.readouterr().err
 
+    def test_mixed_sources_are_reported(self, tmp_path, capsys):
+        census = run_census(
+            tmp_path,
+            "mixed",
+            [*synth_corpus(6, "baseline", 0.3, seed=5), *synth_corpus(2, "focus", 0.3, seed=5)],
+        )
+        capsys.readouterr()
+        out = tmp_path / "cmp"
+        assert main(
+            ["compare", "--focus", str(census), "--baseline", str(census), "--out", str(out)]
+        ) == 0
+        warnings = [
+            line for line in capsys.readouterr().err.splitlines() if "source" in line
+        ]
+        assert warnings == [
+            "warning: 6 of 8 row(s) in the focus census have another source",
+            "warning: 2 of 8 row(s) in the baseline census have another source",
+        ]
+
     def test_missing_file_is_input_error(self, tmp_path):
         census = run_census(tmp_path, "c", [fig2_thread()], "--min-extra-posts", "0")
         code = main(
@@ -440,3 +520,102 @@ class TestClassesCommand:
         assert sorted(singles) == sorted(
             ["003", "102-a", "021D-b", "021U-a", "201-b", "120D-a", "120U-b", "300"]
         )
+
+
+class TestBatchPath:
+    """Corpora cut into many line batches give the bytes of a single batch."""
+
+    COMMANDS = (
+        (["census"], ["census.csv"]),
+        (["macro"], ["macro_metrics.csv", "ecdf_reciprocity.csv"]),
+        (["degrees"], ["degrees.csv", "degree_hist.csv"]),
+        (["timing", "111D-b"], ["timing.csv"]),
+    )
+
+    @pytest.fixture
+    def hostile_corpus(self, tmp_path):
+        threads = synth_corpus(12, "focus", 0.5, seed=41)
+        lines = [to_json_line(t).encode() for t in threads]
+        no_root = to_json_line(filler_thread("no-root")).replace("null", '"p9"')
+        bad_utf8 = to_json_line(filler_thread("b", author="X")).replace('"X"', '"\xff"')
+        lines[1:1] = [b"{broken"]  # line 2
+        lines[4:4] = [b"", no_root.encode()]  # blank line 5, invalid thread on line 6
+        lines[8:8] = [bad_utf8.encode("latin-1")]  # line 9
+        lines[10:10] = [to_json_line(filler_thread("tiny", n_replies=1)).encode()]
+        lines.append(lines[0])  # line 18 repeats line 1's thread id
+        corpus = tmp_path / "hostile.jsonl"
+        endings = [b"\r\n", b"\n", b"\r", b"\n"] * len(lines)  # all three line ends
+        corpus.write_bytes(b"".join(line + end for line, end in zip(lines, endings)))
+        return corpus
+
+    def run_all(self, tmp_path, corpus, name, jobs, capsys):
+        files, errs = {}, []
+        for command, names in self.COMMANDS:
+            out = tmp_path / name / command[0]
+            argv = [*command, "--input", str(corpus), "--out", str(out), "--jobs", jobs]
+            assert main(argv) == 0
+            files.update({n: (out / n).read_bytes() for n in names})
+            errs.append(capsys.readouterr().err)
+        return files, errs
+
+    @pytest.mark.parametrize("batch_bytes", [1, 3000])
+    def test_jobs_and_batches_do_not_change_output(
+        self, tmp_path, hostile_corpus, monkeypatch, capsys, batch_bytes
+    ):
+        whole = self.run_all(tmp_path, hostile_corpus, "whole", "1", capsys)
+        monkeypatch.setattr(cli, "BATCH_BYTES", batch_bytes)
+        assert len(list(cli._line_batches(hostile_corpus))) > 4
+        for jobs in ("1", "2"):
+            assert self.run_all(tmp_path, hostile_corpus, f"j{jobs}", jobs, capsys) == whole
+        census_err = whole[1][0]
+        for expected in (
+            "warning: skipped line 2: invalid JSON",
+            "warning: skipped thread 'no-root': expected exactly one root post, found 0",
+            "warning: skipped line 9: invalid UTF-8",
+            "warning: skipped line 18: duplicate thread_id 'focus-0' (first on line 1)",
+            "warning: 4 malformed line(s)/thread(s) skipped",
+            "info: filter dropped 1 of 13 threads",
+        ):
+            assert expected in census_err
+
+    def test_lone_cr_corpus_is_cut_into_batches(self, tmp_path, monkeypatch, capsys):
+        threads = synth_corpus(12, "focus", 0.5, seed=43)
+        corpus = tmp_path / "cr.jsonl"
+        corpus.write_bytes(b"".join(to_json_line(t).encode() + b"\r" for t in threads))
+        whole = self.run_all(tmp_path, corpus, "whole", "1", capsys)
+        monkeypatch.setattr(cli, "BATCH_BYTES", 3000)
+        batches = list(cli._line_batches(corpus))
+        assert len(batches) > 1
+        assert [n for n, _ in batches] == list(
+            itertools.accumulate([1] + [len(lines) for _, lines in batches[:-1]])
+        )
+        for jobs in ("1", "2"):
+            assert self.run_all(tmp_path, corpus, f"j{jobs}", jobs, capsys) == whole
+
+
+def test_cli_import_leaves_numpy_out():
+    src = Path(threadmotifs.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, threadmotifs.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_failed_csv_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+
+    def rows():
+        yield ("a", 1)
+        raise RuntimeError("midway")
+
+    with pytest.raises(RuntimeError, match="midway"):
+        cli._write_csv(path, ("name", "n"), rows())
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    cli._write_csv(path, ("name", "n"), [("a", 1)])
+    assert path.read_text() == "name,n\na,1\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

@@ -223,6 +223,41 @@ class TestZScores:
         assert all(c.reason == REASON_ZERO_VARIANCE for c in report.cells)
 
 
+    def test_matches_numpy_bit_for_bit(self):
+        # The statistics were once numpy's mean/std(axis=0) over the float
+        # count matrix; the pure-Python sums must reproduce every float.
+        np = pytest.importorskip("numpy")
+        rng = random.Random(2024)
+
+        def sample():
+            return [
+                census_of(
+                    rng.randint(1, 40),
+                    **{f"c{i}": rng.randint(0, rng.choice((2, 40, 900))) for i in range(N_CLASSES)},
+                )
+                for _ in range(rng.randint(1, 250))
+            ]
+
+        for _ in range(30):
+            baseline, focus = assign_bins(sample(), BinSpec()), assign_bins(sample(), BinSpec())
+            report = z_scores(focus, fit_null_model(baseline), CLASS_NAMES)
+            expected = {}
+            for side, binned in (("null", baseline), ("focus", focus)):
+                for b, group in enumerate(binned.groups):
+                    if group:
+                        counts = np.array([c.counts for c in group], dtype=float)
+                        sigma = counts.std(axis=0)
+                        expected[side, b] = (counts.mean(axis=0), sigma, sigma / np.sqrt(len(group)))
+            for cell in report.cells:
+                i = CLASS_NAMES.index(cell.class_name)
+                for side, got in (
+                    ("null", (cell.mu_null, cell.sigma_null, cell.se_null)),
+                    ("focus", (cell.mean_focus, cell.sigma_focus, cell.se_focus)),
+                ):
+                    want = expected.get((side, cell.bin_index))
+                    assert got == ((None,) * 3 if want is None else tuple(float(a[i]) for a in want))
+
+
 def hand_report(rows):
     """ZReport from (bin_label, class_name, mu_null, mean_focus, z) tuples."""
     cells = []

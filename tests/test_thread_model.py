@@ -11,6 +11,7 @@ from threadmotifs.thread_model import (
     FilterPolicy,
     filter_corpus,
     parse_corpus,
+    parse_numbered,
     parse_thread_line,
     thread_lifetime,
     to_json_line,
@@ -59,6 +60,13 @@ class TestParse:
         assert [t.thread_id for t in threads] == ["t1", "t3"]
         assert len(errors) == 1
         assert errors[0].line_no == 2
+
+    def test_first_line_numbers_a_later_piece(self):
+        errors = []
+        lines = ["{broken", "", thread_json(), "[]"]
+        numbered = list(parse_numbered(lines, on_error=errors.append, first_line=40))
+        assert [(n, t.thread_id) for n, t in numbered] == [(42, "t")]
+        assert [e.line_no for e in errors] == [40, 43]
 
     def test_malformed_line_raises_with_line_number(self):
         with pytest.raises(CorpusParseError) as exc:
