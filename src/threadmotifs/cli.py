@@ -146,10 +146,9 @@ def _batch_rows(
     """Parse, filter and compute the rows of one (first line number, lines) batch.
 
     Returns one item per non-blank line, in input order: the text of the
-    line's parse or validation error, or a (line number, thread id, rows)
-    triple for a valid thread, with rows None when the filter drops it.
-    Errors travel as text because the package's exceptions do not survive a
-    pickle round trip.
+    line's parse or validation error (which names the line), or a (line
+    number, thread id, rows) triple for a valid thread, with rows None when
+    the filter drops it.
     """
     first_line, lines = batch
     events: list = []  # errors and (line number, thread) pairs, in input order
@@ -292,7 +291,8 @@ def read_census_csv(
 ) -> list[MotifCensus]:
     """Load censuses back from a census.csv, enforcing the exact schema.
 
-    Every row's counts must sum to C(n_users - 1, 2), as a census does.
+    Every row's counts must be non-negative and sum to C(n_users - 1, 2), as
+    a census's do.
     When ``source`` is given, one warning on stderr counts the rows whose
     source column differs from it; those rows are still loaded.
     """
@@ -321,6 +321,8 @@ def read_census_csv(
                 raise CorpusParseError(line_no, f"{path}: bad census row ({err})")
             if len(counts) != len(class_names):
                 raise CorpusParseError(line_no, f"{path}: bad census row width")
+            if any(c < 0 for c in counts):
+                raise CorpusParseError(line_no, f"{path}: negative class count")
             if n_users < 1 or sum(counts) != math.comb(n_users - 1, 2):
                 raise CorpusParseError(
                     line_no,
@@ -522,7 +524,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         deleted_sentinel=getattr(args, "deleted_sentinel", DELETED_SENTINEL),
     )
     bins_text = getattr(args, "bins", None)
-    bins = BinSpec.parse(bins_text) if bins_text else BinSpec()
+    bins = BinSpec.parse(bins_text) if bins_text is not None else BinSpec()
     jobs = getattr(args, "jobs", 0) or _usable_cpus()
     if jobs < 0:
         raise ValueError("--jobs must be non-negative (0 means all processors)")

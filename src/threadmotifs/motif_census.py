@@ -17,9 +17,10 @@ type into several variants, a trailing letter a/b/c.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import InvalidLifetimeError, InvalidPairError, UndefinedMetricError
 from .graphs import UserGraph
@@ -243,73 +244,71 @@ class MotifCensus:
         return sum(self.counts)
 
 
-def _non_anchor_pairs(g: UserGraph) -> Iterator[tuple[int, int]]:
-    others = [u for u in range(g.n_users) if u != g.anchor]
-    return itertools.combinations(others, 2)
+def _anchored_dyads(g: UserGraph) -> tuple[list, dict[tuple[int, int], str]]:
+    """One pass over the edges: ``code_of[u]`` is dyad(anchor, u), None for the
+    anchor itself, and ``linked`` maps each non-anchor pair (v, w), v < w,
+    with an edge between them to dyad(v, w)."""
+    anchor = g.anchor
+    code_of: list[str | None] = ["N"] * g.n_users
+    code_of[anchor] = None
+    linked: dict[tuple[int, int], str] = {}
+    for u, v in g.edges:
+        if u == anchor:
+            code_of[v] = "M" if code_of[v] == "I" else "O"
+        elif v == anchor:
+            code_of[u] = "M" if code_of[u] == "O" else "I"
+        elif u < v:
+            linked[u, v] = "M" if linked.get((u, v)) == "I" else "O"
+        else:
+            linked[v, u] = "M" if linked.get((v, u)) == "O" else "I"
+    return code_of, linked
 
 
 def census_naive(g: UserGraph, table: ClassTable) -> MotifCensus:
     """Reference census: classify every non-anchor pair directly."""
     counts = [0] * len(table.classes)
     anchor = g.anchor
-    for v, w in _non_anchor_pairs(g):
+    others = [u for u in range(g.n_users) if u != anchor]
+    for v, w in itertools.combinations(others, 2):
         config = (dyad_code(g, anchor, v), dyad_code(g, anchor, w), dyad_code(g, v, w))
         counts[table.index_of(config)] += 1
     return MotifCensus(tuple(counts), g.n_users)
 
 
 def census_fast(g: UserGraph, table: ClassTable) -> MotifCensus:
-    """Census in O(nodes + edges): anchor-dyad tallies plus a subtraction pass.
+    """Census in O(nodes + edges), identical to census_naive on every input.
 
-    Tally how many peers sit at each dyad code from the anchor; closed-form
-    pair counts cover every class whose peer dyad is N. One pass over edges
-    between non-anchor nodes then moves each actually connected pair from
-    its assumed-N class to its true class (mutual pairs visited once).
-    Output is identical to census_naive on every input.
+    Closed-form counts over the anchor-dyad tallies cover every class whose
+    peer dyad is N; each linked pair then moves to its true class.
     """
-    anchor = g.anchor
-    n = g.n_users
+    code_of, linked = _anchored_dyads(g)
+    tally = Counter(code_of)
     counts = [0] * len(table.classes)
-    code_of: dict[int, str] = {}
-    tally = {code: 0 for code in DYAD_CODES}
-    for u in range(n):
-        if u == anchor:
-            continue
-        code = dyad_code(g, anchor, u)
-        code_of[u] = code
-        tally[code] += 1
     for c1, c2 in itertools.combinations_with_replacement(DYAD_CODES, 2):
-        if c1 == c2:
-            pairs = tally[c1] * (tally[c1] - 1) // 2
-        else:
-            pairs = tally[c1] * tally[c2]
-        if pairs:
-            counts[table.index_of((c1, c2, "N"))] += pairs
-    done: set[tuple[int, int]] = set()
-    for u, v in g.edges:
-        if u == anchor or v == anchor:
-            continue
-        pair = (u, v) if u < v else (v, u)
-        if pair in done:
-            continue
-        done.add(pair)
-        a, b = pair
-        d3 = dyad_code(g, a, b)
-        counts[table.index_of((code_of[a], code_of[b], "N"))] -= 1
-        counts[table.index_of((code_of[a], code_of[b], d3))] += 1
-    return MotifCensus(tuple(counts), n)
+        pairs = tally[c1] * (tally[c1] - 1) // 2 if c1 == c2 else tally[c1] * tally[c2]
+        counts[table.index_of((c1, c2, "N"))] += pairs
+    for (v, w), d3 in linked.items():
+        counts[table.index_of((code_of[v], code_of[w], "N"))] -= 1
+        counts[table.index_of((code_of[v], code_of[w], d3))] += 1
+    return MotifCensus(tuple(counts), g.n_users)
 
 
 def motif_instances(g: UserGraph, cls: AnchoredTriadClass) -> list[tuple[int, int]]:
-    """All non-anchor pairs {v, w} whose triad with the anchor is in cls."""
-    members = set(cls.configs)
-    anchor = g.anchor
-    found = []
-    for v, w in _non_anchor_pairs(g):
-        config = (dyad_code(g, anchor, v), dyad_code(g, anchor, w), dyad_code(g, v, w))
-        if config in members:
-            found.append((v, w))
-    return found
+    """All non-anchor pairs (v, w), v < w, whose triad with the anchor is in cls.
+
+    Sorted, in O(edges + instances). Either every config of cls has peer dyad
+    N (swapping v and w keeps it), and the instances are the unlinked pairs
+    across two anchor-dyad buckets, or none has, and they are linked pairs.
+    """
+    code_of, linked = _anchored_dyads(g)
+    c1, c2, d3 = cls.configs[0]
+    if d3 != "N":
+        return sorted(
+            p for p, d in linked.items() if (code_of[p[0]], code_of[p[1]], d) in cls.configs
+        )
+    left, right = ([u for u, code in enumerate(code_of) if code == c] for c in (c1, c2))
+    pairs = itertools.combinations(left, 2) if c1 == c2 else itertools.product(left, right)
+    return sorted(p for p in (tuple(sorted(q)) for q in pairs) if p not in linked)
 
 
 def completion_fractions(

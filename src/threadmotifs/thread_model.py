@@ -92,24 +92,29 @@ class FilterPolicy:
 
 
 def _index_thread(
-    thread_id: str, source: str, posts: list[tuple[str, str | None, str, int]]
+    thread_id: str,
+    source: str,
+    posts: list[tuple[str, str | None, str, int]],
+    line_no: int | None = None,
 ) -> ThreadRecord:
     """Index (id, parent, author, t) posts once, checking they form a reply tree."""
+
+    def fail(message: str):
+        raise ThreadValidationError(thread_id, message, line_no)
+
     if not posts:
-        raise ThreadValidationError(thread_id, "thread has no posts")
+        fail("thread has no posts")
     ids, parents, authors, timestamps = zip(*posts)
     index: dict[str, int] = {}
     for i, pid in enumerate(ids):
         if not pid:
-            raise ThreadValidationError(thread_id, "empty post id")
+            fail("empty post id")
         if pid in index:
-            raise ThreadValidationError(thread_id, f"duplicate post id {pid!r}")
+            fail(f"duplicate post id {pid!r}")
         index[pid] = i
     roots = [i for i, parent in enumerate(parents) if parent is None]
     if len(roots) != 1:
-        raise ThreadValidationError(
-            thread_id, f"expected exactly one root post, found {len(roots)}"
-        )
+        fail(f"expected exactly one root post, found {len(roots)}")
     parent_of: list[int | None] = []
     children: list[list[int]] = [[] for _ in ids]
     for i, parent in enumerate(parents):
@@ -118,9 +123,7 @@ def _index_thread(
             continue
         p = index.get(parent)
         if p is None:
-            raise ThreadValidationError(
-                thread_id, f"post {ids[i]!r} replies to unknown parent {parent!r}"
-            )
+            fail(f"post {ids[i]!r} replies to unknown parent {parent!r}")
         parent_of.append(p)
         children[p].append(i)
     # Every post must be reachable from the root, else the parent links cycle.
@@ -130,7 +133,7 @@ def _index_thread(
         reached += 1
         stack.extend(children[stack.pop()])
     if reached != len(ids):
-        raise ThreadValidationError(thread_id, "parent links contain a cycle")
+        fail("parent links contain a cycle")
     user_index: dict[str, int] = {}
     author_of = tuple(user_index.setdefault(a, len(user_index)) for a in authors)
     users = tuple(user_index)
@@ -180,7 +183,7 @@ def parse_thread_line(line: str | bytes, line_no: int = 1) -> ThreadRecord:
         if not isinstance(t, int) or isinstance(t, bool):
             fail(f"post {pid!r}: 't' must be an integer")
         posts.append((pid, parent, author, t))
-    return _index_thread(thread_id, source, posts)
+    return _index_thread(thread_id, source, posts, line_no)
 
 
 def parse_corpus(

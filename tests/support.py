@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from fractions import Fraction
 
 from threadmotifs.graphs import UserGraph
+from threadmotifs.motif_census import AnchoredTriadClass, dyad_code
 from threadmotifs.thread_model import PostRecord, ThreadRecord
 
 
@@ -58,6 +60,19 @@ def random_user_graph(rng: random.Random, n: int, density: float, anchor=None) -
         anchor=rng.randrange(n) if anchor is None else anchor,
         edges=edges,
     )
+
+
+def instances_oracle(g: UserGraph, cls: AnchoredTriadClass) -> list[tuple[int, int]]:
+    """Instances of cls by classifying every non-anchor pair (v, w), v < w,
+    in ascending order, with dyad_code."""
+    anchor = g.anchor
+    others = [u for u in range(g.n_users) if u != anchor]
+    return [
+        (v, w)
+        for v, w in itertools.combinations(others, 2)
+        if (dyad_code(g, anchor, v), dyad_code(g, anchor, w), dyad_code(g, v, w))
+        in cls.configs
+    ]
 
 
 def _bfs_dist(succ, source):

@@ -193,11 +193,12 @@ class TestCensusCommand:
         assert row[3] == "5-8"
 
     def test_bad_bins_is_config_error(self, tmp_path, fixture_corpus, capsys):
-        code = main(
-            ["census", "--input", str(fixture_corpus), "--out", str(tmp_path), "--bins", "oops"]
-        )
-        assert code == 2
-        assert "error" in capsys.readouterr().err
+        for bins in ("oops", ""):
+            code = main(
+                ["census", "--input", str(fixture_corpus), "--out", str(tmp_path), "--bins", bins]
+            )
+            assert code == 2
+            assert "error" in capsys.readouterr().err
 
     def test_invalid_utf8_line_is_skipped(self, tmp_path, capsys):
         bad = to_json_line(filler_thread("bad", author="BAD")).encode()
@@ -371,14 +372,17 @@ class TestCompareCommand:
         )
         bad = tmp_path / "bad.csv"
         rows = read_rows(census)
-        rows[1][4] = str(int(rows[1][4]) + 100)
-        bad.write_text("\n".join(",".join(r) for r in rows) + "\n")
-        code = main(
-            ["compare", "--focus", str(bad), "--baseline", str(census), "--out", str(tmp_path / "cmp")]
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "line 2" in err and str(bad) in err
+        off_by_100 = [*rows[1][:4], str(int(rows[1][4]) + 100), *rows[1][5:]]
+        # n_users 4 with 003 = 5 and 012-a = -2: the sum is C(3, 2), a count is not.
+        negative = [*rows[1][:2], "4", rows[1][3], "5", "-2", *["0"] * 34]
+        for row in (off_by_100, negative):
+            bad.write_text("\n".join(",".join(r) for r in [rows[0], row, *rows[2:]]) + "\n")
+            code = main(
+                ["compare", "--focus", str(bad), "--baseline", str(census), "--out", str(tmp_path / "cmp")]
+            )
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "line 2" in err and str(bad) in err
 
     def test_unbinned_graphs_are_reported(self, tmp_path, capsys):
         big = [filler_thread(f"big{i}", n_replies=45 + i) for i in range(3)]
@@ -570,7 +574,7 @@ class TestBatchPath:
         census_err = whole[1][0]
         for expected in (
             "warning: skipped line 2: invalid JSON",
-            "warning: skipped thread 'no-root': expected exactly one root post, found 0",
+            "warning: skipped line 6: thread 'no-root': expected exactly one root post, found 0",
             "warning: skipped line 9: invalid UTF-8",
             "warning: skipped line 18: duplicate thread_id 'focus-0' (first on line 1)",
             "warning: 4 malformed line(s)/thread(s) skipped",

@@ -7,6 +7,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from threadmotifs.errors import (
     InvalidLifetimeError,
@@ -28,7 +30,7 @@ from threadmotifs.motif_census import (
     swap_config,
 )
 
-from support import fig2_thread, graph_from_names, random_user_graph
+from support import fig2_thread, graph_from_names, instances_oracle, random_user_graph
 
 TABLE = get_class_table()
 
@@ -305,6 +307,41 @@ class TestMotifInstances:
             census = census_naive(g, TABLE)
             for cls in TABLE.classes:
                 assert len(motif_instances(g, cls)) == census.counts[cls.index]
+
+
+@st.composite
+def user_graphs(draw):
+    """A digraph on 1 to 12 users with any anchor and any set of edges."""
+    n = draw(st.integers(1, 12))
+    anchor = draw(st.integers(0, n - 1))
+    pairs = list(itertools.permutations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return UserGraph(tuple(f"u{i}" for i in range(n)), anchor, dict.fromkeys(edges, 0))
+
+
+class TestInstancesOracle:
+    """motif_instances gives the pair sweep's pairs, in its order, for every class."""
+
+    def assert_all_classes(self, g):
+        for cls in TABLE.classes:
+            assert motif_instances(g, cls) == instances_oracle(g, cls), cls.name
+
+    def test_every_four_node_digraph_and_anchor(self):
+        pairs = list(itertools.permutations(range(4), 2))
+        for mask in range(2 ** len(pairs)):
+            edges = {pair: 0 for i, pair in enumerate(pairs) if mask >> i & 1}
+            for anchor in range(4):
+                self.assert_all_classes(UserGraph(("a", "b", "c", "d"), anchor, edges))
+
+    @settings(max_examples=300, deadline=None)
+    @given(user_graphs())
+    @example(UserGraph(("solo",), 0, {}))
+    @example(UserGraph(tuple("abcde"), 2, {(0, 1): 0, (1, 0): 0, (3, 4): 0, (4, 1): 0}))
+    def test_random_graphs(self, g):
+        self.assert_all_classes(g)
+
+    def test_fig2(self):
+        self.assert_all_classes(build_user_graph(fig2_thread()))
 
 
 class TestCompletionFractions:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
@@ -198,3 +199,19 @@ class TestLifetime:
             "t", "focus", [("p0", None, "a", 50), ("p1", "p0", "b", 40)]
         )
         assert thread_lifetime(thread) == (50, 50)
+
+
+class TestErrors:
+    @pytest.mark.parametrize(
+        "err",
+        [
+            CorpusParseError(3, "bad"),
+            ThreadValidationError("t1", "parent links contain a cycle"),
+            ThreadValidationError("t1", "parent links contain a cycle", 6),
+        ],
+    )
+    def test_pickle_round_trip(self, err):
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is type(err)
+        assert str(back) == str(err)
+        assert vars(back) == vars(err)
