@@ -2,22 +2,25 @@
 
 Subcommands: macro, census, compare, timing, degrees, classes. Every
 command is a file-to-file batch step; diagnostics (parse errors, skipped
-threads) go to stderr, never into data files. Exit codes: 0 success,
-1 input error, 2 configuration error.
+threads) go to stderr, never into data files. The argument parser holds
+each flag's default and check, so every configuration error is its usage
+line plus ``error: argument --flag: <reason>``. ``main`` returns the exit
+code of every outcome, ``--help`` included: 0 success, 1 input error,
+2 configuration error.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import itertools
 import math
 import os
 import sys
 from collections import Counter
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, fields
 from functools import partial
 from multiprocessing import Pool
+from argparse import ArgumentParser, ArgumentTypeError, Namespace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -31,7 +34,7 @@ from .expression_stats import (
     z_scores,
 )
 from .graphs import build_reply_graph, build_user_graph, degree_sequences
-from .macro_metrics import ecdf, lower_median, macro_record
+from .macro_metrics import BRANCHING_MODES, MacroRecord, ecdf, lower_median, macro_record
 from .motif_census import (
     MotifCensus,
     census_fast,
@@ -50,18 +53,10 @@ from .thread_model import (
 
 EXIT_OK = 0
 EXIT_INPUT = 1
-EXIT_CONFIG = 2
 
-MACRO_HEADER = (
-    "thread_id,n_posts,n_users,responsiveness_median_s,"
-    "reciprocity,op_betweenness,branching_factor"
-).split(",")
-ECDF_METRICS = (
-    "responsiveness_median_s",
-    "reciprocity",
-    "op_betweenness",
-    "branching_factor",
-)
+# MacroRecord's fields are the macro_metrics.csv columns; each metric gets an ECDF.
+MACRO_HEADER = [f.name for f in fields(MacroRecord)]
+ECDF_METRICS = MACRO_HEADER[3:]
 COMPARE_HEADER = (
     "bin,class,M,mu_null,sigma_null,se_null,N,mean_focus,sigma_focus,se_focus,"
     "z,label,reason"
@@ -71,19 +66,6 @@ COMPARE_HEADER = (
 # more than one batch of threads, and a batch is big enough that shipping it
 # costs little next to parsing it.
 BATCH_BYTES = 64 * 1024
-
-
-@dataclass
-class RunConfig:
-    """Everything one pipeline run needs, resolved from CLI flags."""
-
-    input_path: Path | None
-    out_dir: Path | None
-    policy: FilterPolicy = field(default_factory=FilterPolicy)
-    bins: BinSpec = field(default_factory=BinSpec)
-    branching_mode: str = "internal"
-    rarity_threshold: float = DEFAULT_RARITY_THRESHOLD
-    jobs: int = 1
 
 
 def _fmt(value) -> str:
@@ -97,6 +79,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
     Rows go to a temporary file beside ``path`` that replaces it only once
     every row is written, so a failed run leaves any earlier file in place.
     """
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
@@ -111,14 +94,6 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
 
 def _diag(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _usable_cpus() -> int:
-    """The number of processors this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not available on every platform
-        return os.cpu_count() or 1
 
 
 def _line_batches(path: Path) -> Iterator[tuple[int, list[bytes]]]:
@@ -164,24 +139,25 @@ def _batch_rows(
     ]
 
 
-def _thread_rows(config: RunConfig, row_fn: Callable[[ThreadRecord], list]) -> Iterator:
-    """Yield row_fn's rows for each kept thread of the corpus, in input order.
+def _thread_rows(args: Namespace, row_fn: Callable[[ThreadRecord], list]) -> Iterator:
+    """Yield row_fn's rows for each kept thread of ``args.input``, in input order.
 
-    Line batches go through _batch_rows, on a pool of up to ``config.jobs``
-    workers (never more than the usable processors) when the corpus spans
-    more than one batch. Problems go to stderr as the batches come back; a
-    thread whose id an earlier valid thread already has is skipped, whatever
-    the filter makes of either.
+    Line batches go through _batch_rows, on a pool of ``args.jobs`` workers
+    when the corpus spans more than one batch. Problems go to stderr as the
+    batches come back; a thread whose id an earlier valid thread already has
+    is skipped, whatever the filter makes of either.
     """
-    rest = _line_batches(config.input_path)
+    rest = _line_batches(args.input)
     head = list(itertools.islice(rest, 2))
     batches = itertools.chain(head, rest)
-    batch_fn = partial(_batch_rows, row_fn, config.policy)
-    workers = min(config.jobs, _usable_cpus())
-    if workers <= 1 or len(head) < 2:
+    policy = FilterPolicy(
+        args.min_extra_posts, args.drop_deleted_root, args.deleted_sentinel
+    )
+    batch_fn = partial(_batch_rows, row_fn, policy)
+    if args.jobs <= 1 or len(head) < 2:
         yield from _merge_batches(map(batch_fn, batches))
         return
-    with Pool(processes=workers) as pool:
+    with Pool(processes=args.jobs) as pool:
         yield from _merge_batches(pool.imap(batch_fn, batches, chunksize=1))
 
 
@@ -220,7 +196,6 @@ def _merge_batches(results: Iterable[list]) -> Iterator:
 # one thread to its output rows; reals stay unformatted for the caller.
 
 def _macro_rows(thread: ThreadRecord, branching_mode: str) -> list[tuple]:
-    # MacroRecord's fields are the macro_metrics.csv columns, in order.
     return [astuple(macro_record(thread, branching_mode))]
 
 
@@ -252,12 +227,12 @@ def _degree_rows(thread: ThreadRecord) -> list[tuple]:
     ]
 
 
-def cmd_macro(config: RunConfig) -> int:
+def cmd_macro(args: Namespace) -> int:
     """Write macro_metrics.csv and one ECDF CSV per metric."""
-    row_fn = partial(_macro_rows, branching_mode=config.branching_mode)
-    rows = list(_thread_rows(config, row_fn))
+    row_fn = partial(_macro_rows, branching_mode=args.branching_mode)
+    rows = list(_thread_rows(args, row_fn))
     _write_csv(
-        config.out_dir / "macro_metrics.csv",
+        args.out / "macro_metrics.csv",
         MACRO_HEADER,
         [(*r[:3], *map(_fmt, r[3:])) for r in rows],
     )
@@ -269,7 +244,7 @@ def cmd_macro(config: RunConfig) -> int:
             points = [(_fmt(v), _fmt(f)) for v, f in zip(curve.values, curve.fractions)]
         else:
             _diag(f"warning: no defined values for {metric}, ECDF is empty")
-        path = config.out_dir / f"ecdf_{metric}.csv"
+        path = args.out / f"ecdf_{metric}.csv"
         _write_csv(path, ("value", "cum_fraction"), points)
     return EXIT_OK
 
@@ -278,12 +253,24 @@ def census_header(class_names: Sequence[str]) -> list[str]:
     return ["thread_id", "source", "n_users", "bin"] + list(class_names)
 
 
-def cmd_census(config: RunConfig) -> int:
+def cmd_census(args: Namespace) -> int:
     """Write census.csv: per-thread anchored class counts plus bin label."""
-    rows = _thread_rows(config, partial(_census_rows, bins=config.bins))
+    rows = _thread_rows(args, partial(_census_rows, bins=args.bins))
     header = census_header(get_class_table().names)
-    _write_csv(config.out_dir / "census.csv", header, rows)
+    _write_csv(args.out / "census.csv", header, rows)
     return EXIT_OK
+
+
+def _csv_rows(path: Path, fh) -> Iterator[list[str]]:
+    """The rows of an open CSV file; text not UTF-8 or not CSV is an input error."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except UnicodeDecodeError as err:
+        where = f"{path}: invalid UTF-8 ({err.reason}) on this line or a later one"
+        raise CorpusParseError(reader.line_num + 1, where) from None
+    except csv.Error as err:
+        raise CorpusParseError(reader.line_num, f"{path}: bad CSV ({err})") from None
 
 
 def read_census_csv(
@@ -298,8 +285,8 @@ def read_census_csv(
     """
     expected = census_header(class_names)
     with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = _csv_rows(path, fh)
+        header = next(rows, None)
         if header != expected:
             got = header or []
             for i, want in enumerate(expected):
@@ -313,7 +300,7 @@ def read_census_csv(
             raise CorpusParseError(1, f"{path}: census schema has extra columns")
         censuses = []
         strays = 0
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in enumerate(rows, start=2):
             try:
                 n_users = int(row[2])
                 counts = tuple(int(c) for c in row[4:])
@@ -340,13 +327,13 @@ def read_census_csv(
     return censuses
 
 
-def cmd_compare(focus_path: Path, baseline_path: Path, config: RunConfig) -> int:
+def cmd_compare(args: Namespace) -> int:
     """Standardize a focus census file against a baseline one."""
     table = get_class_table()
-    focus = read_census_csv(focus_path, table.names, "focus")
-    baseline = read_census_csv(baseline_path, table.names, "baseline")
-    binned_baseline = assign_bins(baseline, config.bins)
-    binned_focus = assign_bins(focus, config.bins)
+    focus = read_census_csv(args.focus, table.names, "focus")
+    baseline = read_census_csv(args.baseline, table.names, "baseline")
+    binned_baseline = assign_bins(baseline, args.bins)
+    binned_focus = assign_bins(focus, args.bins)
     for side, binned in (("focus", binned_focus), ("baseline", binned_baseline)):
         if binned.unbinned:
             _diag(
@@ -355,7 +342,7 @@ def cmd_compare(focus_path: Path, baseline_path: Path, config: RunConfig) -> int
             )
     null = fit_null_model(binned_baseline)
     report = z_scores(binned_focus, null, table.names)
-    expression = classify_expression(report, config.rarity_threshold)
+    expression = classify_expression(report, args.rarity_threshold)
     rows = [
         (
             cell.bin_label,
@@ -369,87 +356,136 @@ def cmd_compare(focus_path: Path, baseline_path: Path, config: RunConfig) -> int
         )
         for cell, label in zip(report.cells, expression.cell_labels)
     ]
-    _write_csv(config.out_dir / "compare.csv", COMPARE_HEADER, rows)
+    _write_csv(args.out / "compare.csv", COMPARE_HEADER, rows)
     summary_rows = [
         (name, "+".join(sorted(expression.class_labels[name])))
         for name in table.names
     ]
-    _write_csv(
-        config.out_dir / "expression_summary.csv", ("class", "labels"), summary_rows
-    )
+    _write_csv(args.out / "expression_summary.csv", ("class", "labels"), summary_rows)
     return EXIT_OK
 
 
-def cmd_timing(config: RunConfig, class_name: str) -> int:
+def cmd_timing(args: Namespace) -> int:
     """Write timing.csv: per-instance completion fractions plus their median."""
     fractions = []
 
     def rows():
-        for row in _thread_rows(config, partial(_timing_rows, class_name=class_name)):
+        for row in _thread_rows(args, partial(_timing_rows, class_name=args.class_name)):
             fractions.append(row[4])
             yield (*row[:4], _fmt(row[4]))
         if fractions:
             yield ("median", "", "", "", _fmt(lower_median(fractions)))
         else:
-            _diag(f"warning: no instances of {class_name} found, median undefined")
+            _diag(f"warning: no instances of {args.class_name} found, median undefined")
 
     _write_csv(
-        config.out_dir / "timing.csv",
+        args.out / "timing.csv",
         ("kind", "thread_id", "v_user", "w_user", "fraction"),
         rows(),
     )
     return EXIT_OK
 
 
-def cmd_degrees(config: RunConfig) -> int:
+def cmd_degrees(args: Namespace) -> int:
     """Write per-node degrees and corpus-wide degree histograms."""
     hist = Counter()
 
     def rows():
-        for row in _thread_rows(config, _degree_rows):
+        for row in _thread_rows(args, _degree_rows):
             kind, _, din, dout = row
             hist[kind, "in", din] += 1
             hist[kind, "out", dout] += 1
             yield row
 
     _write_csv(
-        config.out_dir / "degrees.csv",
+        args.out / "degrees.csv",
         ("graph", "node", "in_degree", "out_degree"),
         rows(),
     )
     _write_csv(
-        config.out_dir / "degree_hist.csv",
+        args.out / "degree_hist.csv",
         ("graph", "degree_kind", "degree", "count"),
         [(g, k, d, c) for (g, k, d), c in sorted(hist.items())],
     )
     return EXIT_OK
 
 
-def cmd_classes(out=None) -> int:
+def cmd_classes(args: Namespace) -> int:
     """Print the full class table: name, member configs, and M/A/N counts."""
-    out = out if out is not None else sys.stdout
-    table = get_class_table()
-    print("class,config1,config2,M,A,N", file=out)
-    for cls in table.classes:
+    print("class,config1,config2,M,A,N")
+    for cls in get_class_table().classes:
         configs = ["".join(c) for c in cls.configs]
         config2 = configs[1] if len(configs) == 2 else ""
         m, a, n = cls.man_counts
-        print(f"{cls.name},{configs[0]},{config2},{m},{a},{n}", file=out)
+        print(f"{cls.name},{configs[0]},{config2},{m},{a},{n}")
     return EXIT_OK
 
 
-def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", required=True, help="line-delimited corpus dump")
-    parser.add_argument("--out", required=True, help="output directory")
+# Flag types: each converts and checks one flag value. argparse reports an
+# ArgumentTypeError as "argument --flag: <message>" and exits with 2.
+
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def _jobs(text: str) -> int:
+    """Worker processes: 0 means every usable processor, and more is capped there."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not available on every platform
+        cpus = os.cpu_count() or 1
+    return min(_count(text) or cpus, cpus)
+
+
+def _bins(text: str) -> BinSpec:
+    try:
+        return BinSpec.parse(text)
+    except ValueError as err:
+        raise ArgumentTypeError(str(err)) from None
+
+
+def _rarity_threshold(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise ArgumentTypeError("rarity threshold must be finite and non-negative")
+    return value
+
+
+def _timing_class(name: str) -> str:
+    """The name of a known class with edges: an edge-free class never completes."""
+    try:
+        cls = get_class_table().named(name)
+    except KeyError as err:
+        raise ArgumentTypeError(err.args[0]) from None
+    if not cls.has_edges:
+        raise ArgumentTypeError(f"{name} is an edge-free class, timing is undefined")
+    return name
+
+
+def _add_corpus_args(parser: ArgumentParser) -> None:
+    parser.add_argument(
+        "--input", type=Path, required=True, help="line-delimited corpus dump"
+    )
+    parser.add_argument("--out", type=Path, required=True, help="output directory")
     parser.add_argument(
         "--min-extra-posts",
-        type=int,
-        default=5,
+        type=_count,
+        default=FilterPolicy.min_extra_posts,
         help="keep threads with at least this many posts besides the root",
     )
     parser.add_argument(
         "--keep-deleted-root",
-        action="store_true",
+        dest="drop_deleted_root",
+        action="store_false",
         help="keep threads whose root author matches the deleted sentinel",
     )
     parser.add_argument(
@@ -457,24 +493,27 @@ def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
         default=DELETED_SENTINEL,
         help="author marker for deleted accounts",
     )
+    # A string default goes through type=, so it resolves like a typed "0".
     parser.add_argument(
         "--jobs",
-        type=int,
-        default=0,
-        help="worker processes (default 0: all processors)",
+        type=_jobs,
+        default="0",
+        help="worker processes; 0 means all usable processors (default: %(default)s)",
     )
 
 
-def _add_bins_arg(parser: argparse.ArgumentParser) -> None:
+def _add_bins_arg(parser: ArgumentParser) -> None:
+    default = BinSpec()
     parser.add_argument(
         "--bins",
-        default=None,
-        help='node-count bin ranges, e.g. "1-5,6-10,11-15" (default: 1-5 .. 36-40)',
+        type=_bins,
+        default=default,
+        help=f"node-count bin ranges (default: {','.join(default.labels)})",
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _build_parser() -> ArgumentParser:
+    parser = ArgumentParser(
         prog="threadmotifs",
         description="Thread-structure metrics and anchored triadic motif census.",
     )
@@ -484,101 +523,55 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_corpus_args(p)
     p.add_argument(
         "--branching-mode",
-        choices=("internal", "all"),
-        default="internal",
+        choices=BRANCHING_MODES,
+        default=BRANCHING_MODES[0],
         help="average replies over replied-to posts, or over all posts",
     )
+    p.set_defaults(run=cmd_macro)
 
     p = sub.add_parser("census", help="anchored triadic motif census per thread")
     _add_corpus_args(p)
     _add_bins_arg(p)
+    p.set_defaults(run=cmd_census)
 
     p = sub.add_parser("compare", help="Z-scores of a focus census vs a baseline")
-    p.add_argument("--focus", required=True, help="focus census.csv")
-    p.add_argument("--baseline", required=True, help="baseline census.csv")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--focus", type=Path, required=True, help="focus census.csv")
+    p.add_argument("--baseline", type=Path, required=True, help="baseline census.csv")
+    p.add_argument("--out", type=Path, required=True, help="output directory")
     _add_bins_arg(p)
     p.add_argument(
         "--rarity-threshold",
-        type=float,
+        type=_rarity_threshold,
         default=DEFAULT_RARITY_THRESHOLD,
         help="mean count a class must exceed in some bin to be non-rare",
     )
+    p.set_defaults(run=cmd_compare)
 
     p = sub.add_parser("timing", help="completion fractions for one class")
-    p.add_argument("class_name", help="anchored class name, e.g. 201-b")
+    p.add_argument("class_name", type=_timing_class, help="anchored class name, e.g. 201-b")
     _add_corpus_args(p)
+    p.set_defaults(run=cmd_timing)
 
     p = sub.add_parser("degrees", help="degree sequences and histograms")
     _add_corpus_args(p)
+    p.set_defaults(run=cmd_degrees)
 
-    sub.add_parser("classes", help="print the 36-class table")
+    p = sub.add_parser("classes", help="print the 36-class table")
+    p.set_defaults(run=cmd_classes)
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Turn parsed flags into a RunConfig; raises ValueError on bad values."""
-    policy = FilterPolicy(
-        min_extra_posts=getattr(args, "min_extra_posts", 5),
-        drop_deleted_root=not getattr(args, "keep_deleted_root", False),
-        deleted_sentinel=getattr(args, "deleted_sentinel", DELETED_SENTINEL),
-    )
-    bins_text = getattr(args, "bins", None)
-    bins = BinSpec.parse(bins_text) if bins_text is not None else BinSpec()
-    jobs = getattr(args, "jobs", 0) or _usable_cpus()
-    if jobs < 0:
-        raise ValueError("--jobs must be non-negative (0 means all processors)")
-    rarity = getattr(args, "rarity_threshold", DEFAULT_RARITY_THRESHOLD)
-    if not (math.isfinite(rarity) and rarity >= 0):
-        raise ValueError("rarity threshold must be a finite non-negative number")
-    return RunConfig(
-        input_path=Path(args.input) if getattr(args, "input", None) else None,
-        out_dir=Path(args.out) if getattr(args, "out", None) else None,
-        policy=policy,
-        bins=bins,
-        branching_mode=getattr(args, "branching_mode", "internal"),
-        rarity_threshold=rarity,
-        jobs=jobs,
-    )
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "classes":
-        return cmd_classes()
+    """Run one subcommand and return its exit code."""
     try:
-        config = _resolve_config(args)
-    except ValueError as err:
-        _diag(f"error: {err}")
-        return EXIT_CONFIG
-    if args.command == "timing":
-        # Validate the class before touching the input: bad names and the
-        # edge-free class are configuration errors.
-        try:
-            cls = get_class_table().named(args.class_name)
-        except KeyError as err:
-            _diag(f"error: {err.args[0]}")
-            return EXIT_CONFIG
-        if not cls.has_edges:
-            _diag(f"error: {cls.name} is an edge-free class, timing is undefined")
-            return EXIT_CONFIG
+        args = _build_parser().parse_args(argv)
+    except SystemExit as stop:  # argparse: 0 after --help, 2 after a bad flag
+        return stop.code
     try:
-        if config.out_dir is not None:
-            os.makedirs(config.out_dir, exist_ok=True)
-        if args.command == "macro":
-            return cmd_macro(config)
-        if args.command == "census":
-            return cmd_census(config)
-        if args.command == "compare":
-            return cmd_compare(Path(args.focus), Path(args.baseline), config)
-        if args.command == "timing":
-            return cmd_timing(config, args.class_name)
-        if args.command == "degrees":
-            return cmd_degrees(config)
+        return args.run(args)
     except (OSError, ThreadMotifsError) as err:
         _diag(f"error: {err}")
         return EXIT_INPUT
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ A corpus is line-delimited JSON, one thread per line:
 
 Exactly one post per thread has ``parent: null`` (the root post); every
 other post's parent must name another post in the same thread, and the
-parent links must form a tree. Timestamps are integer Unix seconds and
-are not required to be monotone along parent links.
+parent links must form a tree. Timestamps are signed 64-bit integer Unix
+seconds and are not required to be monotone along parent links.
 """
 
 from __future__ import annotations
@@ -153,6 +153,10 @@ def parse_thread_line(line: str | bytes, line_no: int = 1) -> ThreadRecord:
         raise CorpusParseError(line_no, message) from err
     except json.JSONDecodeError as err:
         raise CorpusParseError(line_no, f"invalid JSON ({err.msg})") from err
+    except RecursionError as err:
+        raise CorpusParseError(line_no, "JSON nested too deeply") from err
+    except ValueError as err:  # an integer literal over int's digit limit
+        raise CorpusParseError(line_no, "JSON integer has too many digits") from err
 
     def fail(message: str):
         raise CorpusParseError(line_no, message)
@@ -182,6 +186,8 @@ def parse_thread_line(line: str | bytes, line_no: int = 1) -> ThreadRecord:
             fail(f"post {pid!r}: 'author' must be a string")
         if not isinstance(t, int) or isinstance(t, bool):
             fail(f"post {pid!r}: 't' must be an integer")
+        if not -(2**63) <= t < 2**63:
+            fail(f"post {pid!r}: 't' out of range")
         posts.append((pid, parent, author, t))
     return _index_thread(thread_id, source, posts, line_no)
 

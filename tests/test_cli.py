@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import threadmotifs
 from threadmotifs import cli
@@ -623,3 +627,190 @@ def test_failed_csv_write_keeps_previous_file(tmp_path):
     cli._write_csv(path, ("name", "n"), [("a", 1)])
     assert path.read_text() == "name,n\na,1\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+class TestConfigErrors:
+    """A bad flag value is the parser's usage line plus one error line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (
+                ["census", "--input", "c", "--out", "o", "--jobs", "abc"],
+                "argument --jobs: expected an integer, got 'abc'",
+            ),
+            ([], "the following arguments are required: command"),
+            (
+                ["census", "--input", "c", "--out", "o", "--bins", "5-1"],
+                "argument --bins: bin range 5-1 is inverted",
+            ),
+            (
+                ["census", "--input", "c", "--out", "o", "--min-extra-posts", "-1"],
+                "argument --min-extra-posts: must be non-negative, got -1",
+            ),
+            (
+                ["timing", "201-x", "--input", "c", "--out", "o"],
+                "argument class_name: unknown anchored triad class '201-x'",
+            ),
+        ],
+        ids=["jobs-abc", "no-subcommand", "inverted-bins", "negative-min-extra-posts", "unknown-class"],
+    )
+    def test_returns_2_with_usage(self, tmp_path, monkeypatch, capsys, argv, error):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("usage: threadmotifs")
+        assert lines[-1].startswith("threadmotifs")
+        assert lines[-1].endswith(f": error: {error}")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["census", "--help"], ["timing", "-h"]])
+    def test_help_returns_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: threadmotifs")
+
+    def test_parser_resolves_jobs(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(cli, "_thread_rows", lambda args, row_fn: seen.append(args.jobs) or [])
+        for jobs in ([], ["--jobs", "0"], ["--jobs", "2"], ["--jobs", "5000"]):
+            assert main(["census", "--input", "c", "--out", str(tmp_path), *jobs]) == 0
+        assert seen == [3, 3, 2, 3]
+
+
+HUGE_GAPS = to_json_line(
+    make_thread(
+        "huge-gaps",
+        "focus",
+        [("p0", None, "op", 0)] + [(f"p{i}", "p0", f"u{i}", i * 10**400) for i in range(1, 6)],
+    )
+)
+HOSTILE_LINES = {
+    "deep-nesting": (b"[" * 200_000, "JSON nested too deeply"),
+    "long-integer": (
+        to_json_line(filler_thread("long-t")).replace('"t": 0', '"t": ' + "7" * 5000).encode(),
+        "JSON integer has too many digits",
+    ),
+    "t-out-of-range": (HUGE_GAPS.encode(), "post 'p1': 't' out of range"),
+}
+CORPUS_COMMANDS = (["census"], ["macro"], ["degrees"], ["timing", "201-b"])
+
+
+@pytest.mark.parametrize("hostile", sorted(HOSTILE_LINES))
+@pytest.mark.parametrize("command", CORPUS_COMMANDS, ids=lambda c: c[0])
+def test_hostile_corpus_line_is_skipped(tmp_path, capsys, command, hostile):
+    line, reason = HOSTILE_LINES[hostile]
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_bytes(to_json_line(fig2_thread()).encode() + b"\n" + line + b"\n")
+    out = tmp_path / "out"
+    assert main([*command, "--input", str(corpus), "--out", str(out), "--jobs", "1"]) == 0
+    err = capsys.readouterr().err
+    assert f"warning: skipped line 2: {reason}\n" in err
+    assert "warning: 1 malformed line(s)/thread(s) skipped" in err
+
+
+class TestHostileCensusFile:
+    def compare(self, tmp_path, capsys, tail: bytes):
+        census = run_census(tmp_path, "c", [fig2_thread()], "--min-extra-posts", "0")
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(census.read_bytes() + tail)
+        capsys.readouterr()
+        for focus, baseline in ((bad, census), (census, bad)):
+            code = main(
+                ["compare", "--focus", str(focus), "--baseline", str(baseline),
+                 "--out", str(tmp_path / "cmp")]
+            )
+            assert code == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2 and errors[0] == errors[1]
+        return bad, errors[0]
+
+    def test_not_utf8_is_input_error(self, tmp_path, capsys):
+        bad, error = self.compare(tmp_path, capsys, b"t2,focus,3,1-5,\xff\n")
+        assert error == (
+            f"error: line 1: {bad}: invalid UTF-8 (invalid start byte) "
+            "on this line or a later one"
+        )
+
+    def test_oversized_field_is_input_error(self, tmp_path, capsys):
+        bad, error = self.compare(tmp_path, capsys, b"t2,focus,3," + b"9" * 200_000 + b"\n")
+        assert error == f"error: line 3: {bad}: bad CSV (field larger than field limit (131072))"
+
+
+# Fuzz strategies. Corpus lines are raw bytes, near-valid threads (whose
+# timestamps reach past 64 bits) or text at the JSON decoder's limits.
+_posts = st.fixed_dictionaries(
+    {
+        "id": st.sampled_from(["p0", "p1", "p2", ""]),
+        "parent": st.sampled_from([None, "p0", "p1", "p9"]),
+        "author": st.sampled_from(["a", "b", "[deleted]"]),
+        "t": st.one_of(st.integers(), st.integers(-(10**400), 10**400)),
+    }
+)
+_threads = st.fixed_dictionaries(
+    {
+        "thread_id": st.sampled_from(["t1", "t2", ""]),
+        "source": st.sampled_from(["focus", "baseline", "other"]),
+        "posts": st.lists(_posts, max_size=6),
+    }
+)
+_corpus_lines = st.one_of(
+    st.binary(max_size=80),
+    _threads.map(lambda t: json.dumps(t).encode()),
+    st.integers(1, 100_000).map(lambda n: b"[" * n),
+    st.integers(1, 6000).map(lambda n: b'{"t": ' + b"9" * n + b"}"),
+)
+_corpora = st.builds(
+    lambda lines, end: end.join(lines),
+    st.lists(_corpus_lines, max_size=6),
+    st.sampled_from([b"\n", b"\r\n", b"\r"]),
+)
+
+
+def _census_line(n_users, class_index, source):
+    counts = [0] * 36
+    counts[class_index] = math.comb(n_users - 1, 2)
+    return ",".join(map(str, [f"t{n_users}", source, n_users, "", *counts])).encode()
+
+
+_census_lines = st.one_of(
+    st.binary(max_size=80),
+    st.builds(_census_line, st.integers(1, 45), st.integers(0, 35), st.sampled_from(["focus", "baseline"])),
+    st.lists(st.one_of(st.integers().map(str), st.text(max_size=4)), max_size=40).map(
+        lambda fields: ",".join(fields).encode()
+    ),
+    st.integers(131_000, 132_000).map(lambda n: b"9" * n),
+)
+_census_files = st.builds(
+    lambda header, lines: b"\n".join([header, *lines]),
+    st.sampled_from([",".join(census_header(get_class_table().names)).encode(), b""]),
+    st.lists(_census_lines, max_size=6),
+)
+_FUZZ = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@_FUZZ
+@given(data=_corpora, command=st.sampled_from(CORPUS_COMMANDS))
+@example(data=b"[" * 200_000, command=["census"])
+@example(data=HUGE_GAPS.encode(), command=["macro"])
+def test_any_corpus_bytes_exit_cleanly(tmp_path, data, command):
+    corpus = tmp_path / "fuzz.jsonl"
+    corpus.write_bytes(data)
+    argv = [*command, "--input", str(corpus), "--out", str(tmp_path / "out"),
+            "--min-extra-posts", "0", "--jobs", "1"]
+    assert main(argv) in (0, 1, 2)
+
+
+@_FUZZ
+@given(focus=_census_files, baseline=_census_files)
+@example(focus=b"\xff", baseline=b"")
+@example(focus=b"9" * 200_000, baseline=b"")
+def test_any_census_bytes_exit_cleanly(tmp_path, focus, baseline):
+    paths = tmp_path / "focus.csv", tmp_path / "baseline.csv"
+    paths[0].write_bytes(focus)
+    paths[1].write_bytes(baseline)
+    argv = ["compare", "--focus", str(paths[0]), "--baseline", str(paths[1]),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) in (0, 1, 2)

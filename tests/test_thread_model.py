@@ -116,6 +116,30 @@ class TestParse:
         with pytest.raises(CorpusParseError, match="'t'"):
             parse_thread_line(line)
 
+    def test_timestamp_must_fit_signed_64_bits(self):
+        def line(t):
+            return thread_json(posts=[{"id": "pX", "parent": None, "author": "a", "t": t}])
+
+        for t in (-(2**63), 2**63 - 1):
+            assert parse_thread_line(line(t)).timestamps == (t,)
+        for t in (-(2**63) - 1, 2**63, 10**400):
+            with pytest.raises(CorpusParseError, match="post 'pX': 't' out of range"):
+                parse_thread_line(line(t))
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("[" * 200_000, "line 3: JSON nested too deeply"),
+            ('{"t": ' + "7" * 5000 + "}", "line 3: JSON integer has too many digits"),
+        ],
+        ids=["deep-nesting", "long-integer"],
+    )
+    def test_decoder_limits_are_parse_errors(self, text, reason):
+        for line in (text, text.encode()):
+            with pytest.raises(CorpusParseError) as info:
+                parse_thread_line(line, 3)
+            assert str(info.value) == reason
+
     def test_blank_lines_skipped(self):
         threads = list(parse_corpus(["", thread_json(), "   \n"]))
         assert len(threads) == 1
