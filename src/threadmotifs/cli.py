@@ -17,9 +17,7 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import astuple, fields
 from functools import partial
-from multiprocessing import Pool
 from argparse import ArgumentParser, ArgumentTypeError, Namespace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -55,7 +53,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 
 # MacroRecord's fields are the macro_metrics.csv columns; each metric gets an ECDF.
-MACRO_HEADER = [f.name for f in fields(MacroRecord)]
+MACRO_HEADER = list(MacroRecord._fields)
 ECDF_METRICS = MACRO_HEADER[3:]
 COMPARE_HEADER = (
     "bin,class,M,mu_null,sigma_null,se_null,N,mean_focus,sigma_focus,se_focus,"
@@ -157,6 +155,8 @@ def _thread_rows(args: Namespace, row_fn: Callable[[ThreadRecord], list]) -> Ite
     if args.jobs <= 1 or len(head) < 2:
         yield from _merge_batches(map(batch_fn, batches))
         return
+    from multiprocessing import Pool  # here, so serial runs never load multiprocessing
+
     with Pool(processes=args.jobs) as pool:
         yield from _merge_batches(pool.imap(batch_fn, batches, chunksize=1))
 
@@ -196,7 +196,7 @@ def _merge_batches(results: Iterable[list]) -> Iterator:
 # one thread to its output rows; reals stay unformatted for the caller.
 
 def _macro_rows(thread: ThreadRecord, branching_mode: str) -> list[tuple]:
-    return [astuple(macro_record(thread, branching_mode))]
+    return [macro_record(thread, branching_mode)]
 
 
 def _census_rows(thread: ThreadRecord, bins: BinSpec) -> list[list]:
@@ -279,7 +279,8 @@ def read_census_csv(
     """Load censuses back from a census.csv, enforcing the exact schema.
 
     Every row's counts must be non-negative and sum to C(n_users - 1, 2), as
-    a census's do.
+    a census's do. ``n_users`` must be below 2**63, as the corpus timestamps
+    are, so every count and every square of one is a finite float.
     When ``source`` is given, one warning on stderr counts the rows whose
     source column differs from it; those rows are still loaded.
     """
@@ -303,13 +304,15 @@ def read_census_csv(
         for line_no, row in enumerate(rows, start=2):
             try:
                 n_users = int(row[2])
-                counts = tuple(int(c) for c in row[4:])
+                counts = tuple(map(int, row[4:]))
             except (IndexError, ValueError) as err:
                 raise CorpusParseError(line_no, f"{path}: bad census row ({err})")
             if len(counts) != len(class_names):
                 raise CorpusParseError(line_no, f"{path}: bad census row width")
-            if any(c < 0 for c in counts):
+            if min(counts) < 0:
                 raise CorpusParseError(line_no, f"{path}: negative class count")
+            if n_users >= 2**63:
+                raise CorpusParseError(line_no, f"{path}: n_users must be below 2**63")
             if n_users < 1 or sum(counts) != math.comb(n_users - 1, 2):
                 raise CorpusParseError(
                     line_no,
@@ -479,7 +482,7 @@ def _add_corpus_args(parser: ArgumentParser) -> None:
     parser.add_argument(
         "--min-extra-posts",
         type=_count,
-        default=FilterPolicy.min_extra_posts,
+        default=FilterPolicy().min_extra_posts,
         help="keep threads with at least this many posts besides the root",
     )
     parser.add_argument(

@@ -16,8 +16,7 @@ side, or zero baseline variance, carry an explicit reason instead of a Z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .motif_census import MotifCensus
 
@@ -31,13 +30,17 @@ REASON_EMPTY_FOCUS = "empty focus bin"
 REASON_ZERO_VARIANCE = "zero baseline variance"
 
 
-@dataclass(frozen=True)
-class BinSpec:
-    """Ordered, disjoint, inclusive node-count ranges; larger graphs are unbinned."""
-
+class _BinSpec(NamedTuple):
     ranges: tuple[tuple[int, int], ...] = DEFAULT_BIN_RANGES
 
-    def __post_init__(self):
+
+class BinSpec(_BinSpec):
+    """Ordered, disjoint, inclusive node-count ranges; larger graphs are unbinned."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.ranges:
             raise ValueError("bin spec needs at least one range")
         prev_hi = None
@@ -47,6 +50,7 @@ class BinSpec:
             if prev_hi is not None and lo <= prev_hi:
                 raise ValueError("bin ranges must be disjoint and ascending")
             prev_hi = hi
+        return self
 
     @classmethod
     def parse(cls, text: str) -> "BinSpec":
@@ -73,8 +77,7 @@ class BinSpec:
         return None
 
 
-@dataclass(frozen=True)
-class BinnedCensuses:
+class BinnedCensuses(NamedTuple):
     """Censuses grouped by bin; graphs beyond the last range sit in unbinned."""
 
     spec: BinSpec
@@ -95,8 +98,7 @@ def assign_bins(censuses: Iterable[MotifCensus], spec: BinSpec) -> BinnedCensuse
     return BinnedCensuses(spec, tuple(tuple(g) for g in groups), tuple(unbinned))
 
 
-@dataclass(frozen=True)
-class NullModel:
+class NullModel(NamedTuple):
     """Per-bin, per-class baseline mean and population standard deviation."""
 
     spec: BinSpec
@@ -139,8 +141,7 @@ def fit_null_model(baseline: BinnedCensuses) -> NullModel:
     return NullModel(baseline.spec, tuple(sizes), tuple(mus), tuple(sigmas))
 
 
-@dataclass(frozen=True)
-class ZCell:
+class ZCell(NamedTuple):
     """Null-model comparison of one class in one bin."""
 
     bin_index: int
@@ -158,8 +159,7 @@ class ZCell:
     reason: str | None  # set exactly when z is None
 
 
-@dataclass(frozen=True)
-class ZReport:
+class ZReport(NamedTuple):
     """All cells for the bins populated in either corpus, in bin/class order."""
 
     spec: BinSpec
@@ -225,8 +225,7 @@ LABEL_UNDER = "under"
 LABEL_EQUAL = "equal"
 
 
-@dataclass(frozen=True)
-class ExpressionReport:
+class ExpressionReport(NamedTuple):
     """Z-report plus per-cell labels and a per-class summary.
 
     A class is rare when no bin's mean count (in either corpus) clears the

@@ -9,13 +9,12 @@ counts the replies it received.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .thread_model import ThreadRecord
 
 
-@dataclass(frozen=True)
-class ReplyGraph:
+class ReplyGraph(NamedTuple):
     """Tree of posts; each non-root post has one edge to its parent."""
 
     post_ids: tuple[str, ...]
@@ -32,8 +31,7 @@ class ReplyGraph:
         return len(self.post_ids) - 1
 
 
-@dataclass(frozen=True)
-class UserGraph:
+class UserGraph(NamedTuple):
     """Simple directed graph of users, one distinguished anchor (the OP).
 
     ``edges`` maps (responder, responded-to) index pairs to the earliest
@@ -65,8 +63,7 @@ class UserGraph:
         return succ
 
 
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(NamedTuple):
     """Per-node in/out degrees for one graph, plus degree histograms."""
 
     kind: str  # "user" | "reply"

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import UndefinedMetricError
 from .graphs import ReplyGraph, UserGraph, build_reply_graph, build_user_graph
@@ -21,8 +19,7 @@ from .thread_model import ThreadRecord
 BRANCHING_MODES = ("internal", "all")
 
 
-@dataclass(frozen=True)
-class MacroRecord:
+class MacroRecord(NamedTuple):
     """All macroscopic metrics for one thread; None marks undefined values."""
 
     thread_id: str
@@ -34,8 +31,7 @@ class MacroRecord:
     branching_factor: float | None
 
 
-@dataclass(frozen=True)
-class Ecdf:
+class Ecdf(NamedTuple):
     """Empirical CDF: sorted sample values with cumulative fractions i/n."""
 
     values: tuple[float, ...]
@@ -101,6 +97,8 @@ def op_betweenness(g: UserGraph) -> float:
     case the paths through it number sigma(s, anchor) * sigma(anchor, t).
     Accumulates exactly in rational arithmetic.
     """
+    from fractions import Fraction  # here, so start-up skips fractions and decimal
+
     n = g.n_users
     anchor = g.anchor
     if n <= 2:

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import InvalidLifetimeError, InvalidPairError, UndefinedMetricError
 from .graphs import UserGraph
@@ -116,8 +115,7 @@ def base_type_name(config: TriadConfig) -> str:
     return base + "C"
 
 
-@dataclass(frozen=True)
-class AnchoredTriadClass:
+class AnchoredTriadClass(NamedTuple):
     """One of the 36 anchored triad classes."""
 
     index: int
@@ -131,27 +129,26 @@ class AnchoredTriadClass:
         return self.man_counts[0] + self.man_counts[1] > 0
 
 
-@dataclass(frozen=True)
-class ClassTable:
+class ClassTable(NamedTuple):
     """Total mapping from all 64 triad configs to the 36 anchored classes."""
 
     classes: tuple[AnchoredTriadClass, ...]
-    _index_of: Mapping[TriadConfig, int]
-    _name_index: Mapping[str, int]
+    config_index: Mapping[TriadConfig, int]
+    name_index: Mapping[str, int]
 
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.classes)
 
     def index_of(self, config: TriadConfig) -> int:
-        return self._index_of[config]
+        return self.config_index[config]
 
     def class_of(self, config: TriadConfig) -> AnchoredTriadClass:
-        return self.classes[self._index_of[config]]
+        return self.classes[self.config_index[config]]
 
     def named(self, name: str) -> AnchoredTriadClass:
         try:
-            return self.classes[self._name_index[name]]
+            return self.classes[self.name_index[name]]
         except KeyError:
             raise KeyError(f"unknown anchored triad class {name!r}") from None
 
@@ -232,8 +229,7 @@ def classify(config: TriadConfig, table: ClassTable) -> AnchoredTriadClass:
     return table.class_of(config)
 
 
-@dataclass(frozen=True)
-class MotifCensus:
+class MotifCensus(NamedTuple):
     """Counts of the 36 anchored classes over one user graph."""
 
     counts: tuple[int, ...]

@@ -15,8 +15,7 @@ seconds and are not required to be monotone along parent links.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import CorpusParseError, ThreadValidationError
 
@@ -24,8 +23,7 @@ SOURCES = ("focus", "baseline")
 DELETED_SENTINEL = "[deleted]"
 
 
-@dataclass(frozen=True)
-class PostRecord:
+class PostRecord(NamedTuple):
     """One post: the root when ``parent`` is None, otherwise a reply."""
 
     id: str
@@ -34,8 +32,7 @@ class PostRecord:
     t: int
 
 
-@dataclass(frozen=True)
-class ThreadRecord:
+class ThreadRecord(NamedTuple):
     """One thread in columnar form, indexed once when it is built.
 
     Post ``i`` has id ``post_ids[i]``, replies to post ``parent_of[i]``
@@ -58,9 +55,8 @@ class ThreadRecord:
     def from_posts(
         cls, thread_id: str, source: str, posts: Iterable[PostRecord]
     ) -> ThreadRecord:
-        """Index and validate posts given in any order."""
-        rows = [(p.id, p.parent, p.author, p.t) for p in posts]
-        return _index_thread(thread_id, source, rows)
+        """Index and validate (id, parent, author, t) posts given in any order."""
+        return _index_thread(thread_id, source, list(posts))
 
     @property
     def posts(self) -> tuple[PostRecord, ...]:
@@ -78,17 +74,22 @@ class ThreadRecord:
         return len(self.post_ids)
 
 
-@dataclass(frozen=True)
-class FilterPolicy:
-    """Corpus-level thread filter: minimum size and deleted-root removal."""
-
+class _FilterPolicy(NamedTuple):
     min_extra_posts: int = 5
     drop_deleted_root: bool = True
     deleted_sentinel: str = DELETED_SENTINEL
 
-    def __post_init__(self):
+
+class FilterPolicy(_FilterPolicy):
+    """Corpus-level thread filter: minimum size and deleted-root removal."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.min_extra_posts < 0:
             raise ValueError("min_extra_posts must be non-negative")
+        return self
 
 
 def _index_thread(

@@ -6,6 +6,7 @@ import csv
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -259,7 +260,7 @@ class TestCensusCommand:
             def imap(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "Pool", RecordingPool)
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         corpus = write_corpus(
             tmp_path / "c.jsonl", [filler_thread(f"t{i}") for i in range(6)]
@@ -387,6 +388,33 @@ class TestCompareCommand:
             assert code == 1
             err = capsys.readouterr().err
             assert "line 2" in err and str(bad) in err
+
+    def test_n_users_must_fit_signed_64_bits(self, tmp_path, capsys):
+        header = ",".join(census_header(get_class_table().names)).encode()
+
+        def census(name, *n_users):
+            path = tmp_path / f"{name}.csv"
+            lines = [_census_line(n, 0, "focus") for n in n_users]
+            path.write_bytes(b"\n".join([header, *lines]) + b"\n")
+            return path
+
+        bins = ["--bins", f"1-5,6-{2 * 10**200}"]
+        ok = census("ok", 2**63 - 1, 2**62)
+        out = tmp_path / "cmp"
+        argv = ["compare", "--focus", str(ok), "--baseline", str(ok), "--out", str(out), *bins]
+        assert main(argv) == 0
+        assert read_rows(out / "compare.csv")[1][:3] == [f"6-{2 * 10**200}", "003", "2"]
+        for n_users in (2**63, 10**200):
+            bad = census("bad", n_users)
+            for focus, baseline in ((bad, ok), (ok, bad)):
+                code = main(
+                    ["compare", "--focus", str(focus), "--baseline", str(baseline),
+                     "--out", str(out), *bins]
+                )
+                assert code == 1
+                assert capsys.readouterr().err.splitlines()[-1] == (
+                    f"error: line 2: {bad}: n_users must be below 2**63"
+                )
 
     def test_unbinned_graphs_are_reported(self, tmp_path, capsys):
         big = [filler_thread(f"big{i}", n_replies=45 + i) for i in range(3)]
@@ -601,15 +629,54 @@ class TestBatchPath:
             assert self.run_all(tmp_path, corpus, f"j{jobs}", jobs, capsys) == whole
 
 
-def test_cli_import_leaves_numpy_out():
+def run_python(script, *args):
+    """Run a Python script in a fresh interpreter that imports this package."""
     src = Path(threadmotifs.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, threadmotifs.cli; print('numpy' in sys.modules)"],
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
         env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+def test_start_methods_do_not_change_output(tmp_path, method):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    corpus = write_corpus(tmp_path / "c.jsonl", synth_corpus(24, "focus", 0.5, seed=7))
+    assert main(["census", "--input", str(corpus), "--out", str(tmp_path / "j1"), "--jobs", "1"]) == 0
+    # The start method is process-wide, so each one gets its own interpreter.
+    script = (
+        "import multiprocessing, sys\n"
+        "from threadmotifs import cli\n"
+        "multiprocessing.set_start_method(sys.argv[1])\n"
+        "cli.BATCH_BYTES = 2000\n"
+        "sys.exit(cli.main(['census', '--input', sys.argv[2], '--out', sys.argv[3],"
+        " '--jobs', '2']))\n"
+    )
+    proc = run_python(script, method, corpus, tmp_path / method)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert (tmp_path / method / "census.csv").read_bytes() == (
+        tmp_path / "j1" / "census.csv"
+    ).read_bytes()
+
+
+def test_cli_import_leaves_numpy_out(tmp_path):
+    """Start-up, and a serial census after it, load none of these modules."""
+    corpus = write_corpus(tmp_path / "c.jsonl", [filler_thread("t1"), filler_thread("t2")])
+    out = tmp_path / "out"
+    script = (
+        "import sys, threadmotifs.cli\n"
+        "unwanted = ('numpy', 'dataclasses', 'multiprocessing', 'fractions')\n"
+        "print([m for m in unwanted if m in sys.modules])\n"
+        "code = threadmotifs.cli.main(['census', '--input', sys.argv[1], '--out', sys.argv[2],"
+        " '--jobs', '1'])\n"
+        "print(code, [m for m in unwanted if m in sys.modules])\n"
+    )
+    proc = run_python(script, corpus, out)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "0 []"]
+    assert len(read_rows(out / "census.csv")) == 3
 
 
 def test_failed_csv_write_keeps_previous_file(tmp_path):
