@@ -45,15 +45,10 @@ def test_fields_in_order_and_read_only(record):
             setattr(value, name, None)
 
 
-def test_defaults_checks_and_pickling():
+def test_defaults_and_pickling():
     assert tm.FilterPolicy() == (5, True, "[deleted]")
     assert tm.BinSpec().ranges[0] == (1, 5) and len(tm.BinSpec().ranges) == 8
+    # The pool ships these two; unpickling goes through their checking __new__.
     for value in (tm.FilterPolicy(2, False), tm.BinSpec.parse("1-2,5-9")):
         back = pickle.loads(pickle.dumps(value))
         assert back == value and type(back) is type(value)
-    for bad in (lambda: tm.FilterPolicy(-1), lambda: tm.BinSpec(())):
-        with pytest.raises(ValueError):
-            bad()
-    table = tm.get_class_table()
-    assert table.index_of(table.classes[7].configs[0]) == 7
-    assert table.named("201-b").index == table.name_index["201-b"]
