@@ -51,7 +51,6 @@ from .motif_census import (
     build_class_table,
     census_fast,
     census_naive,
-    classify,
     completion_fractions,
     dyad_code,
     get_class_table,

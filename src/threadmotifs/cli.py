@@ -33,13 +33,7 @@ from .expression_stats import (
 )
 from .graphs import build_reply_graph, build_user_graph, degree_sequences
 from .macro_metrics import BRANCHING_MODES, MacroRecord, ecdf, lower_median, macro_record
-from .motif_census import (
-    MotifCensus,
-    census_fast,
-    completion_fractions,
-    get_class_table,
-    motif_instances,
-)
+from .motif_census import MotifCensus, census_fast, completion_fractions, get_class_table
 from .thread_model import (
     DELETED_SENTINEL,
     FilterPolicy,
@@ -76,13 +70,18 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
 
     Rows go to a temporary file beside ``path`` that replaces it only once
     every row is written, so a failed run leaves any earlier file in place.
+    The first row is drawn before the directory is made, so rows that fail
+    at once, as a missing corpus does, leave nothing behind.
     """
+    rows = iter(rows)
+    first = list(itertools.islice(rows, 1))
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
+            writer.writerows(first)
             writer.writerows(rows)
         os.replace(tmp, path)
     except BaseException:
@@ -210,11 +209,9 @@ def _timing_rows(thread: ThreadRecord, class_name: str) -> list[tuple]:
     cls = get_class_table().named(class_name)
     graph = build_user_graph(thread)
     t0, t1 = thread_lifetime(thread)
-    pairs = motif_instances(graph, cls)
-    fractions = completion_fractions(graph, cls, t0, t1)
     return [
         ("instance", thread.thread_id, graph.users[v], graph.users[w], frac)
-        for (v, w), frac in zip(pairs, fractions)
+        for (v, w), frac in completion_fractions(graph, cls, t0, t1)
     ]
 
 

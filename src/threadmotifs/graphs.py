@@ -8,7 +8,6 @@ counts the replies it received.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import NamedTuple
 
 from .thread_model import ThreadRecord
@@ -51,9 +50,6 @@ class UserGraph(NamedTuple):
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges
-
     def successor_lists(self) -> list[list[int]]:
         succ: list[list[int]] = [[] for _ in range(self.n_users)]
         for u, v in self.edges:
@@ -64,18 +60,12 @@ class UserGraph(NamedTuple):
 
 
 class DegreeReport(NamedTuple):
-    """Per-node in/out degrees for one graph, plus degree histograms."""
+    """Per-node in/out degrees for one graph."""
 
     kind: str  # "user" | "reply"
     nodes: tuple[str, ...]
     in_degrees: tuple[int, ...]
     out_degrees: tuple[int, ...]
-
-    def in_histogram(self) -> dict[int, int]:
-        return dict(sorted(Counter(self.in_degrees).items()))
-
-    def out_histogram(self) -> dict[int, int]:
-        return dict(sorted(Counter(self.out_degrees).items()))
 
 
 def build_reply_graph(thread: ThreadRecord) -> ReplyGraph:

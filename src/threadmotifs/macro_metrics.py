@@ -8,7 +8,6 @@ plain empirical CDF over any metric's corpus-wide sample.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from typing import NamedTuple, Sequence
 
@@ -36,10 +35,6 @@ class Ecdf(NamedTuple):
 
     values: tuple[float, ...]
     fractions: tuple[float, ...]
-
-    def evaluate(self, x: float) -> float:
-        """Fraction of samples <= x."""
-        return bisect_right(self.values, x) / len(self.values)
 
 
 def lower_median(values: Sequence) -> float:

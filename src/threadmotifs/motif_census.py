@@ -48,11 +48,6 @@ _PINNED_LETTERS: dict[TriadConfig, str] = {
 }
 
 
-def flip_dyad(code: str) -> str:
-    """The same dyad viewed from the other endpoint."""
-    return _FLIP[code]
-
-
 def swap_config(config: TriadConfig) -> TriadConfig:
     """The same triad with the two non-anchor nodes exchanged."""
     d1, d2, d3 = config
@@ -224,11 +219,6 @@ def get_class_table() -> ClassTable:
     return build_class_table()
 
 
-def classify(config: TriadConfig, table: ClassTable) -> AnchoredTriadClass:
-    """The unique class containing a config; swap-images classify identically."""
-    return table.class_of(config)
-
-
 class MotifCensus(NamedTuple):
     """Counts of the 36 anchored classes over one user graph."""
 
@@ -261,7 +251,7 @@ def _anchored_dyads(g: UserGraph) -> tuple[list, dict[tuple[int, int], str]]:
 
 
 def census_naive(g: UserGraph, table: ClassTable) -> MotifCensus:
-    """Reference census: classify every non-anchor pair directly."""
+    """Reference census: look up the class of every non-anchor pair directly."""
     counts = [0] * len(table.classes)
     anchor = g.anchor
     others = [u for u in range(g.n_users) if u != anchor]
@@ -309,11 +299,12 @@ def motif_instances(g: UserGraph, cls: AnchoredTriadClass) -> list[tuple[int, in
 
 def completion_fractions(
     g: UserGraph, cls: AnchoredTriadClass, t0: int, t1: int
-) -> list[float]:
-    """Normalized age of each instance's last-established edge.
+) -> list[tuple[tuple[int, int], float]]:
+    """Each instance of cls with the normalized age of its last-established edge.
 
-    For every instance of cls, takes the maximum first-seen timestamp over
-    the instance's present directed edges and maps it onto [0, 1] across the
+    Returns one ((v, w), fraction) item per instance, in motif_instances
+    order. The fraction takes the maximum first-seen timestamp over the
+    instance's present directed edges and maps it onto [0, 1] across the
     lifetime [t0, t1] (clamped; 0 everywhere when t1 == t0).
     """
     if not cls.has_edges:
@@ -324,14 +315,12 @@ def completion_fractions(
         raise InvalidLifetimeError(f"lifetime ends before it starts ({t1} < {t0})")
     anchor = g.anchor
     span = t1 - t0
-    fractions = []
+    timed = []
     for v, w in motif_instances(g, cls):
         candidates = (
             (anchor, v), (v, anchor), (anchor, w), (w, anchor), (v, w), (w, v),
         )
         completion = max(g.edges[e] for e in candidates if e in g.edges)
-        if span == 0:
-            fractions.append(0.0)
-        else:
-            fractions.append(min(1.0, max(0.0, (completion - t0) / span)))
-    return fractions
+        fraction = 0.0 if span == 0 else min(1.0, max(0.0, (completion - t0) / span))
+        timed.append(((v, w), fraction))
+    return timed

@@ -138,6 +138,13 @@ def _index_thread(
     user_index: dict[str, int] = {}
     author_of = tuple(user_index.setdefault(a, len(user_index)) for a in authors)
     users = tuple(user_index)
+    # json.loads turns an escape such as "\ud800" into a lone surrogate, which
+    # no UTF-8 output can hold. (Joining never pairs surrogates up.)
+    try:
+        for text in (thread_id, source, "".join(ids), "".join(users)):
+            text.encode()
+    except UnicodeEncodeError:
+        fail("text holds a lone surrogate, which UTF-8 cannot encode")
     return ThreadRecord(
         thread_id, source, ids, tuple(parent_of), author_of, timestamps, users, roots[0]
     )

@@ -75,6 +75,18 @@ def instances_oracle(g: UserGraph, cls: AnchoredTriadClass) -> list[tuple[int, i
     ]
 
 
+def completion_oracle(g: UserGraph, cls: AnchoredTriadClass, t0: int, t1: int) -> list:
+    """instances_oracle's pairs, each with the latest first-seen time of any
+    edge inside its triad, mapped exactly onto [t0, t1] and clamped to [0, 1]."""
+    timed = []
+    for v, w in instances_oracle(g, cls):
+        triad = {g.anchor, v, w}
+        last = max(t for (x, y), t in g.edges.items() if x in triad and y in triad)
+        fraction = Fraction(0) if t1 == t0 else Fraction(last - t0, t1 - t0)
+        timed.append(((v, w), float(min(max(fraction, Fraction(0)), Fraction(1)))))
+    return timed
+
+
 def _bfs_dist(succ, source):
     dist = [-1] * len(succ)
     dist[source] = 0

@@ -288,7 +288,7 @@ def test_10_metric_properties():
                 if not cls.has_edges:
                     continue
                 base = completion_fractions(g, cls, t0, t1)
-                assert all(0.0 <= f <= 1.0 for f in base)
+                assert all(0.0 <= f <= 1.0 for _, f in base)
                 assert base == completion_fractions(
                     rescaled, cls, scale * t0 + shift, scale * t1 + shift
                 )

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import threadmotifs
-from threadmotifs import cli
+from threadmotifs import cli, motif_census
 from threadmotifs.cli import census_header, main
 from threadmotifs.expression_stats import BinSpec
 from threadmotifs.graphs import build_user_graph
@@ -522,6 +522,24 @@ class TestTimingCommand:
             ["kind", "thread_id", "v_user", "w_user", "fraction"]
         ]
 
+    def test_one_instance_pass_per_kept_thread(self, tmp_path, monkeypatch):
+        kept = [fig2_thread(), filler_thread("t-star", n_replies=6)]
+        corpus = write_corpus(tmp_path / "c.jsonl", [*kept, filler_thread("small", n_replies=2)])
+        original = motif_census.motif_instances
+        seen = []
+
+        def counted(g, cls):
+            seen.append(g.users)
+            return original(g, cls)
+
+        # Every module holding the function is patched, so a direct call from cli counts too.
+        for module in (cli, motif_census):
+            if getattr(module, "motif_instances", None) is original:
+                monkeypatch.setattr(module, "motif_instances", counted)
+        argv = ["timing", "201-b", "--input", str(corpus), "--out", str(tmp_path / "t")]
+        assert main([*argv, "--jobs", "1"]) == 0
+        assert seen == [t.users for t in kept]
+
 
 class TestDegreesCommand:
     def test_fig2_degree_rows(self, tmp_path):
@@ -759,6 +777,15 @@ HOSTILE_LINES = {
         "JSON integer has too many digits",
     ),
     "t-out-of-range": (HUGE_GAPS.encode(), "post 'p1': 't' out of range"),
+    # Valid JSON whose "\ud800" escapes decode to text no CSV file can hold.
+    "lone-surrogate": (
+        to_json_line(filler_thread("bad")).replace('"bad"', '"bad\\ud800"').encode(),
+        "thread 'bad\\ud800': text holds a lone surrogate, which UTF-8 cannot encode",
+    ),
+    "lone-surrogate-author": (
+        to_json_line(filler_thread("t-author")).replace('"root"', '"\\udc80x"').encode(),
+        "thread 't-author': text holds a lone surrogate, which UTF-8 cannot encode",
+    ),
 }
 CORPUS_COMMANDS = (["census"], ["macro"], ["degrees"], ["timing", "201-b"])
 
@@ -774,6 +801,14 @@ def test_hostile_corpus_line_is_skipped(tmp_path, capsys, command, hostile):
     err = capsys.readouterr().err
     assert f"warning: skipped line 2: {reason}\n" in err
     assert "warning: 1 malformed line(s)/thread(s) skipped" in err
+
+
+@pytest.mark.parametrize("command", CORPUS_COMMANDS, ids=lambda c: c[0])
+def test_missing_input_leaves_no_output_dir(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([*command, "--input", str(tmp_path / "nope.jsonl"), "--out", str(out)]) == 1
+    assert "No such file" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestHostileCensusFile:
@@ -810,13 +845,13 @@ _posts = st.fixed_dictionaries(
     {
         "id": st.sampled_from(["p0", "p1", "p2", ""]),
         "parent": st.sampled_from([None, "p0", "p1", "p9"]),
-        "author": st.sampled_from(["a", "b", "[deleted]"]),
+        "author": st.sampled_from(["a", "b", "[deleted]", "\udc80x"]),
         "t": st.one_of(st.integers(), st.integers(-(10**400), 10**400)),
     }
 )
 _threads = st.fixed_dictionaries(
     {
-        "thread_id": st.sampled_from(["t1", "t2", ""]),
+        "thread_id": st.sampled_from(["t1", "t2", "", "t\ud800"]),
         "source": st.sampled_from(["focus", "baseline", "other"]),
         "posts": st.lists(_posts, max_size=6),
     }

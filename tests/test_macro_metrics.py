@@ -196,12 +196,6 @@ class TestEcdf:
         assert curve.values == (1, 3, 3, 7)
         assert curve.fractions == (0.25, 0.5, 0.75, 1.0)
 
-    def test_evaluate(self):
-        curve = ecdf([1, 3, 3, 7])
-        assert curve.evaluate(0) == 0.0
-        assert curve.evaluate(3) == 0.75
-        assert curve.evaluate(100) == 1.0
-
     def test_permutation_invariant_and_ends_at_one(self):
         rng = random.Random(59)
         samples = [rng.uniform(-50, 50) for _ in range(200)]

@@ -21,16 +21,20 @@ from threadmotifs.motif_census import (
     build_class_table,
     census_fast,
     census_naive,
-    classify,
     completion_fractions,
     dyad_code,
-    flip_dyad,
     get_class_table,
     motif_instances,
     swap_config,
 )
 
-from support import fig2_thread, graph_from_names, instances_oracle, random_user_graph
+from support import (
+    completion_oracle,
+    fig2_thread,
+    graph_from_names,
+    instances_oracle,
+    random_user_graph,
+)
 
 TABLE = get_class_table()
 
@@ -110,10 +114,11 @@ class TestDyadCode:
         assert dyad_code(g, 1, 2) == "N"
 
     def test_flip_symmetry(self):
+        flip = {"N": "N", "O": "I", "I": "O", "M": "M"}
         rng = random.Random(1)
         g = random_user_graph(rng, 6, 0.4)
         for x, y in itertools.permutations(range(6), 2):
-            assert dyad_code(g, y, x) == flip_dyad(dyad_code(g, x, y))
+            assert dyad_code(g, y, x) == flip[dyad_code(g, x, y)]
 
     def test_self_pair_rejected(self):
         g = random_user_graph(random.Random(2), 3, 0.5)
@@ -155,7 +160,7 @@ class TestClassTable:
 
     def test_swap_invariance_of_classification(self):
         for config in ALL_CONFIGS:
-            assert classify(config, TABLE) is classify(swap_config(config), TABLE)
+            assert TABLE.class_of(config) is TABLE.class_of(swap_config(config))
 
     def test_base_names_match_networkx_triad_type(self):
         for config in ALL_CONFIGS:
@@ -344,38 +349,58 @@ class TestInstancesOracle:
         self.assert_all_classes(build_user_graph(fig2_thread()))
 
 
+@st.composite
+def timed_graphs(draw):
+    """A user_graphs graph with random first-seen times, and a lifetime t0 <= t1."""
+    g = draw(user_graphs())
+    times = st.integers(-50, 150)
+    edges = {e: draw(times) for e in sorted(g.edges)}
+    t0 = draw(times)
+    return g._replace(edges=edges), t0, draw(st.integers(t0, t0 + 100))
+
+
 class TestCompletionFractions:
+    @settings(max_examples=200, deadline=None)
+    @given(timed_graphs())
+    def test_matches_oracle(self, case):
+        g, t0, t1 = case
+        for cls in TABLE.classes:
+            if cls.has_edges:
+                assert completion_fractions(g, cls, t0, t1) == completion_oracle(
+                    g, cls, t0, t1
+                ), cls.name
+
     def test_all_edges_at_start(self):
         g = graph_from_names(
             ["op", "a", "b"], "op", {("a", "op"): 0, ("b", "op"): 0}
         )
-        assert completion_fractions(g, TABLE.named("021U-a"), 0, 100) == [0.0]
+        assert completion_fractions(g, TABLE.named("021U-a"), 0, 100) == [((1, 2), 0.0)]
 
     def test_last_edge_at_end(self):
         g = graph_from_names(
             ["op", "a", "b"], "op", {("a", "op"): 0, ("b", "op"): 100}
         )
-        assert completion_fractions(g, TABLE.named("021U-a"), 0, 100) == [1.0]
+        assert completion_fractions(g, TABLE.named("021U-a"), 0, 100) == [((1, 2), 1.0)]
 
     def test_max_edge_time_used(self):
         g = graph_from_names(
             ["op", "a", "b"], "op", {("a", "op"): 10, ("b", "op"): 60}
         )
-        assert completion_fractions(g, TABLE.named("021U-a"), 0, 100) == [0.6]
+        assert completion_fractions(g, TABLE.named("021U-a"), 0, 100) == [((1, 2), 0.6)]
 
     def test_zero_span_lifetime(self):
         g = graph_from_names(["op", "a", "b"], "op", {("a", "op"): 5, ("b", "op"): 5})
-        assert completion_fractions(g, TABLE.named("021U-a"), 5, 5) == [0.0]
+        assert completion_fractions(g, TABLE.named("021U-a"), 5, 5) == [((1, 2), 0.0)]
 
     def test_out_of_range_times_clamped(self):
         g = graph_from_names(
             ["op", "a", "b"], "op", {("a", "op"): -50, ("b", "op"): 500}
         )
-        assert completion_fractions(g, TABLE.named("021U-a"), 0, 100) == [1.0]
+        assert completion_fractions(g, TABLE.named("021U-a"), 0, 100) == [((1, 2), 1.0)]
         g2 = graph_from_names(
             ["op", "a", "b"], "op", {("a", "op"): -50, ("b", "op"): -10}
         )
-        assert completion_fractions(g2, TABLE.named("021U-a"), 0, 100) == [0.0]
+        assert completion_fractions(g2, TABLE.named("021U-a"), 0, 100) == [((1, 2), 0.0)]
 
     def test_edge_free_class_undefined(self):
         g = graph_from_names(["op", "a", "b"], "op", [])
@@ -407,4 +432,4 @@ class TestCompletionFractions:
                     scaled, cls, scale * t0 + shift, scale * t1 + shift
                 )
                 assert rescaled == base
-                assert all(0.0 <= f <= 1.0 for f in base)
+                assert all(0.0 <= f <= 1.0 for _, f in base)

@@ -105,6 +105,16 @@ class TestParse:
         with pytest.raises(ThreadValidationError, match="cycle"):
             parse_thread_line(line)
 
+    @pytest.mark.parametrize(
+        "thread_id, root_id, author",
+        [("bad\ud800", "p0", "a"), ("t", "p\udfff", "a"), ("t", "p0", "\udc80x")],
+        ids=["thread-id", "post-id", "author"],
+    )
+    def test_lone_surrogate_rejected(self, thread_id, root_id, author):
+        posts = [(root_id, None, author, 0), ("p1", root_id, "b", 5)]
+        with pytest.raises(ThreadValidationError, match="lone surrogate"):
+            make_thread(thread_id, "focus", posts)
+
     def test_unknown_source_rejected(self):
         with pytest.raises(CorpusParseError, match="source"):
             parse_thread_line(thread_json(source="other"))
