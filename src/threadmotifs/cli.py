@@ -139,10 +139,10 @@ def _batch_rows(
 def _thread_rows(args: Namespace, row_fn: Callable[[ThreadRecord], list]) -> Iterator:
     """Yield row_fn's rows for each kept thread of ``args.input``, in input order.
 
-    Line batches go through _batch_rows, on a pool of ``args.jobs`` workers
-    when the corpus spans more than one batch. Problems go to stderr as the
-    batches come back; a thread whose id an earlier valid thread already has
-    is skipped, whatever the filter makes of either.
+    Line batches go through _batch_rows, in up to ``args.jobs`` worker
+    processes when the corpus spans more than one batch. Problems go to
+    stderr as the batches come back; a thread whose id an earlier valid
+    thread already has is skipped, whatever the filter makes of either.
     """
     rest = _line_batches(args.input)
     head = list(itertools.islice(rest, 2))
@@ -153,11 +153,101 @@ def _thread_rows(args: Namespace, row_fn: Callable[[ThreadRecord], list]) -> Ite
     batch_fn = partial(_batch_rows, row_fn, policy)
     if args.jobs <= 1 or len(head) < 2:
         yield from _merge_batches(map(batch_fn, batches))
-        return
-    from multiprocessing import Pool  # here, so serial runs never load multiprocessing
+    else:
+        yield from _merge_batches(_ordered_map(batch_fn, batches, args.jobs))
 
-    with Pool(processes=args.jobs) as pool:
-        yield from _merge_batches(pool.imap(batch_fn, batches, chunksize=1))
+
+def _serve(conn, parent_end, fn: Callable) -> None:
+    """Worker loop: reply to each item the parent sends with (ok, fn(item) or error).
+
+    Under fork the worker inherits ``parent_end``. It closes that copy, so
+    once the parent is gone, and the workers started after this one (which
+    inherited a copy too), ``recv`` reads EOF and the worker exits instead
+    of waiting forever.
+    """
+    parent_end.close()
+    try:
+        while True:
+            item = conn.recv()
+            try:
+                reply = True, fn(item)
+            except Exception as err:  # the parent re-raises it in input order
+                from multiprocessing.pool import ExceptionWithTraceback
+
+                reply = False, ExceptionWithTraceback(err, err.__traceback__)
+            conn.send(reply)
+    except (EOFError, OSError):  # the parent closed its end or is gone
+        return
+
+
+def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
+    """Yield fn(item) for each item, in input order, computed in worker processes.
+
+    A worker starts only when an item is ready for it and none is idle, so
+    there are never more than ``jobs`` workers, nor more than items. Each
+    worker holds one item at a time and the parent sends only to an idle
+    one, so no item or result size can fill both ends of a pipe. A result
+    that comes back before an earlier item's waits in the parent, so a slow
+    item holds up no worker. The parent runs no threads: it sleeps in
+    ``wait`` until a worker replies or dies, and a worker that dies is an
+    error, not a hang.
+    """
+    import multiprocessing  # here, so serial runs never load multiprocessing
+    from multiprocessing.connection import wait
+
+    todo = enumerate(items)
+    workers = {}  # connection -> its worker process
+    idle = []  # connections of workers holding no item
+    held = {}  # connection -> index of the item its worker holds
+    done = {}  # index -> (ok, result) of items finished but not yet yielded
+    yielded = 0
+    try:
+        while True:
+            # Hand out items before yielding, so workers compute while the
+            # caller consumes a result.
+            while idle or len(workers) < jobs:
+                index, item = next(todo, (None, None))
+                if index is None:
+                    break
+                if not idle:
+                    conn, child_conn = multiprocessing.Pipe()
+                    worker = multiprocessing.Process(
+                        target=_serve, args=(child_conn, conn, fn)
+                    )
+                    worker.start()
+                    # Now only the worker holds its end, so its death reads as EOF.
+                    child_conn.close()
+                    workers[conn] = worker
+                    idle.append(conn)
+                conn = idle.pop()
+                conn.send(item)
+                held[conn] = index
+            if yielded in done:
+                ok, result = done.pop(yielded)
+                yielded += 1
+                if not ok:
+                    raise result
+                yield result
+            elif not held:
+                return
+            else:
+                for conn in wait(list(held)):
+                    try:
+                        done[held.pop(conn)] = conn.recv()
+                    except (EOFError, OSError):
+                        worker = workers[conn]
+                        worker.join()
+                        raise ThreadMotifsError(
+                            "worker process exited unexpectedly "
+                            f"(exit code {worker.exitcode})"
+                        ) from None
+                    idle.append(conn)
+    finally:
+        for conn, worker in workers.items():
+            conn.close()
+            worker.terminate()
+        for worker in workers.values():
+            worker.join()
 
 
 def _merge_batches(results: Iterable[list]) -> Iterator:
@@ -198,10 +288,10 @@ def _macro_rows(thread: ThreadRecord, branching_mode: str) -> list[tuple]:
     return [macro_record(thread, branching_mode)]
 
 
-def _census_rows(thread: ThreadRecord, bins: BinSpec) -> list[list]:
+def _census_rows(thread: ThreadRecord, bins: BinSpec, labels: Sequence[str]) -> list[list]:
     census = census_fast(build_user_graph(thread), get_class_table())
     bin_index = bins.bin_of(census.n_users)
-    label = "" if bin_index is None else bins.labels[bin_index]
+    label = "" if bin_index is None else labels[bin_index]
     return [[thread.thread_id, thread.source, census.n_users, label, *census.counts]]
 
 
@@ -252,7 +342,8 @@ def census_header(class_names: Sequence[str]) -> list[str]:
 
 def cmd_census(args: Namespace) -> int:
     """Write census.csv: per-thread anchored class counts plus bin label."""
-    rows = _thread_rows(args, partial(_census_rows, bins=args.bins))
+    row_fn = partial(_census_rows, bins=args.bins, labels=args.bins.labels)
+    rows = _thread_rows(args, row_fn)
     header = census_header(get_class_table().names)
     _write_csv(args.out / "census.csv", header, rows)
     return EXIT_OK

@@ -10,6 +10,8 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+from multiprocessing.connection import Connection
 from pathlib import Path
 
 import pytest
@@ -243,37 +245,48 @@ class TestCensusCommand:
         assert "warning: 1 malformed line(s)/thread(s) skipped" in err
 
     def test_workers_capped_at_usable_processors(self, tmp_path, monkeypatch):
-        class RecordingPool:
-            """Stands in for multiprocessing.Pool without starting processes."""
+        class ThreadWorker:
+            """Stands in for multiprocessing.Process: serves batches on a thread."""
 
-            sizes = []
+            started = []
 
-            def __init__(self, processes):
-                self.sizes.append(processes)
+            def __init__(self, target, args):
+                conn, parent_end, fn = args
+                # A worker process has its own copy of both ends: the parent
+                # closes one after start() and the worker the other.
+                copies = [Connection(os.dup(c.fileno())) for c in (conn, parent_end)]
+                self.thread = threading.Thread(target=target, args=(*copies, fn))
 
-            def __enter__(self):
-                return self
+            def start(self):
+                self.started.append(self)
+                self.thread.start()
 
-            def __exit__(self, *exc):
-                return False
+            def terminate(self):
+                pass  # the thread ends when the parent closes its end
 
-            def imap(self, fn, items, chunksize=1):
-                return map(fn, items)
+            def join(self):
+                self.thread.join(timeout=30)
+                assert not self.thread.is_alive()
 
-        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(multiprocessing, "Process", ThreadWorker)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         corpus = write_corpus(
             tmp_path / "c.jsonl", [filler_thread(f"t{i}") for i in range(6)]
         )
         args = ["census", "--input", str(corpus), "--jobs", "5000"]
         assert main([*args, "--out", str(tmp_path / "one")]) == 0
-        assert RecordingPool.sizes == []  # a single batch runs serially
+        assert ThreadWorker.started == []  # a single batch runs serially
         monkeypatch.setattr(cli, "BATCH_BYTES", 1)
         assert main([*args, "--out", str(tmp_path / "many")]) == 0
-        assert RecordingPool.sizes == [3]
+        assert len(ThreadWorker.started) == 3
         assert (tmp_path / "one" / "census.csv").read_bytes() == (
             tmp_path / "many" / "census.csv"
         ).read_bytes()
+        ThreadWorker.started.clear()
+        two = write_corpus(tmp_path / "two.jsonl", [filler_thread("t1"), filler_thread("t2")])
+        assert main(["census", "--input", str(two), "--out", str(tmp_path / "two"), "--jobs", "3"]) == 0
+        assert len(ThreadWorker.started) == 2  # never more workers than batches
+        assert len(read_rows(tmp_path / "two" / "census.csv")) == 3
 
     def test_negative_jobs_is_config_error(self, tmp_path, fixture_corpus, capsys):
         code = main(
@@ -677,6 +690,73 @@ def test_start_methods_do_not_change_output(tmp_path, method):
     assert (tmp_path / method / "census.csv").read_bytes() == (
         tmp_path / "j1" / "census.csv"
     ).read_bytes()
+
+
+# Runs census with a row function that, on thread t3, exits its process
+# (argv[1] == "exit"), kills the main process ("kill") or raises ("raise").
+# Fork carries the patch into the workers.
+FAULTY_CENSUS = (
+    "import multiprocessing, os, signal, sys\n"
+    "from threadmotifs import cli\n"
+    "from threadmotifs.errors import ThreadMotifsError\n"
+    "multiprocessing.set_start_method('fork')\n"
+    "census_rows = cli._census_rows\n"
+    "def faulty_rows(thread, **kwargs):\n"
+    "    if thread.thread_id == 't3':\n"
+    "        if sys.argv[1] == 'exit':\n"
+    "            os._exit(3)\n"
+    "        if sys.argv[1] == 'kill':\n"
+    "            os.kill(os.getppid(), signal.SIGKILL)\n"
+    "        else:\n"
+    "            raise ThreadMotifsError('row function failed on t3')\n"
+    "    return census_rows(thread, **kwargs)\n"
+    "cli._census_rows = faulty_rows\n"
+    "cli.BATCH_BYTES = 1\n"
+    "sys.exit(cli.main(['census', '--input', sys.argv[2], '--out', sys.argv[3],"
+    " '--jobs', sys.argv[4]]))\n"
+)
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+)
+
+
+@needs_fork
+def test_dead_worker_is_input_error(tmp_path):
+    corpus = write_corpus(tmp_path / "c.jsonl", [filler_thread(f"t{i}") for i in range(6)])
+    proc = run_python(FAULTY_CENSUS, "exit", corpus, tmp_path / "out", 2)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [
+        "error: worker process exited unexpectedly (exit code 3)"
+    ]
+    assert not (tmp_path / "out" / "census.csv").exists()
+
+
+@needs_fork
+def test_workers_exit_after_the_main_process_is_killed(tmp_path):
+    corpus = write_corpus(tmp_path / "c.jsonl", [filler_thread(f"t{i}") for i in range(6)])
+    # The workers share the main process's stdout and stderr pipes, so this
+    # returns only once every worker has exited too.
+    proc = run_python(FAULTY_CENSUS, "kill", corpus, tmp_path / "out", 2)
+    assert (proc.returncode, proc.stderr) == (-9, "")
+    assert not (tmp_path / "out" / "census.csv").exists()
+
+
+@needs_fork
+def test_worker_exception_is_raised_in_input_order(tmp_path):
+    lines = [to_json_line(filler_thread(f"t{i}")) for i in range(6)]
+    lines[2:2] = ["not json"]  # before t3: reported
+    lines[5:5] = ["not json either"]  # after t3: never reached
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text("\n".join(lines) + "\n")
+    runs = [run_python(FAULTY_CENSUS, "raise", corpus, tmp_path / f"j{jobs}", jobs) for jobs in (1, 2)]
+    assert [(p.returncode, p.stdout) for p in runs] == [(1, ""), (1, "")]
+    assert runs[1].stderr == runs[0].stderr
+    assert runs[0].stderr.splitlines() == [
+        "warning: skipped line 3: invalid JSON (Expecting value)",
+        "error: row function failed on t3",
+    ]
+    assert not (tmp_path / "j2" / "census.csv").exists()
 
 
 def test_cli_import_leaves_numpy_out(tmp_path):
