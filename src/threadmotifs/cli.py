@@ -18,6 +18,7 @@ import os
 import sys
 from collections import Counter
 from functools import partial
+from operator import itemgetter
 from argparse import ArgumentParser, ArgumentTypeError, Namespace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -136,8 +137,10 @@ def _batch_rows(
     ]
 
 
-def _thread_rows(args: Namespace, row_fn: Callable[[ThreadRecord], list]) -> Iterator:
-    """Yield row_fn's rows for each kept thread of ``args.input``, in input order.
+def _thread_rows(
+    args: Namespace, row_fn: Callable[[ThreadRecord], list]
+) -> Iterator[list]:
+    """Yield row_fn's rows, one list per kept thread of ``args.input``, in input order.
 
     Line batches go through _batch_rows, in up to ``args.jobs`` worker
     processes when the corpus spans more than one batch. Problems go to
@@ -250,8 +253,9 @@ def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
             worker.join()
 
 
-def _merge_batches(results: Iterable[list]) -> Iterator:
-    """Report _batch_rows results on stderr, drop duplicate ids and yield rows."""
+def _merge_batches(results: Iterable[list]) -> Iterator[list]:
+    """Report _batch_rows results on stderr, drop duplicate ids and yield each
+    kept thread's rows."""
     skipped = parsed = kept = 0
     first_line_of: dict[str, int] = {}
     for items in results:
@@ -272,7 +276,7 @@ def _merge_batches(results: Iterable[list]) -> Iterator:
             parsed += 1
             if rows is not None:
                 kept += 1
-                yield from rows
+                yield rows
     if skipped:
         _diag(f"warning: {skipped} malformed line(s)/thread(s) skipped")
     if parsed > kept:
@@ -317,7 +321,7 @@ def _degree_rows(thread: ThreadRecord) -> list[tuple]:
 def cmd_macro(args: Namespace) -> int:
     """Write macro_metrics.csv and one ECDF CSV per metric."""
     row_fn = partial(_macro_rows, branching_mode=args.branching_mode)
-    rows = list(_thread_rows(args, row_fn))
+    rows = list(itertools.chain.from_iterable(_thread_rows(args, row_fn)))
     _write_csv(
         args.out / "macro_metrics.csv",
         MACRO_HEADER,
@@ -343,7 +347,7 @@ def census_header(class_names: Sequence[str]) -> list[str]:
 def cmd_census(args: Namespace) -> int:
     """Write census.csv: per-thread anchored class counts plus bin label."""
     row_fn = partial(_census_rows, bins=args.bins, labels=args.bins.labels)
-    rows = _thread_rows(args, row_fn)
+    rows = itertools.chain.from_iterable(_thread_rows(args, row_fn))
     header = census_header(get_class_table().names)
     _write_csv(args.out / "census.csv", header, rows)
     return EXIT_OK
@@ -460,10 +464,13 @@ def cmd_timing(args: Namespace) -> int:
     """Write timing.csv: per-instance completion fractions plus their median."""
     fractions = []
 
+    row_fn = partial(_timing_rows, class_name=args.class_name)
+
     def rows():
-        for row in _thread_rows(args, partial(_timing_rows, class_name=args.class_name)):
-            fractions.append(row[4])
-            yield (*row[:4], _fmt(row[4]))
+        for thread_rows in _thread_rows(args, row_fn):
+            for row in thread_rows:
+                fractions.append(row[4])
+                yield (*row[:4], _fmt(row[4]))
         if fractions:
             yield ("median", "", "", "", _fmt(lower_median(fractions)))
         else:
@@ -479,24 +486,24 @@ def cmd_timing(args: Namespace) -> int:
 
 def cmd_degrees(args: Namespace) -> int:
     """Write per-node degrees and corpus-wide degree histograms."""
-    hist = Counter()
+    in_hist, out_hist = Counter(), Counter()  # (graph kind, degree) -> nodes
 
-    def rows():
-        for row in _thread_rows(args, _degree_rows):
-            kind, _, din, dout = row
-            hist[kind, "in", din] += 1
-            hist[kind, "out", dout] += 1
-            yield row
+    def counted(rows: list[tuple]) -> list[tuple]:
+        in_hist.update(map(itemgetter(0, 2), rows))
+        out_hist.update(map(itemgetter(0, 3), rows))
+        return rows
 
     _write_csv(
         args.out / "degrees.csv",
         ("graph", "node", "in_degree", "out_degree"),
-        rows(),
+        itertools.chain.from_iterable(map(counted, _thread_rows(args, _degree_rows))),
     )
+    hist_rows = [(g, "in", d, c) for (g, d), c in in_hist.items()]
+    hist_rows += [(g, "out", d, c) for (g, d), c in out_hist.items()]
     _write_csv(
         args.out / "degree_hist.csv",
         ("graph", "degree_kind", "degree", "count"),
-        [(g, k, d, c) for (g, k, d), c in sorted(hist.items())],
+        sorted(hist_rows),
     )
     return EXIT_OK
 

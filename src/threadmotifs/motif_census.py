@@ -17,7 +17,6 @@ type into several variants, a trailing letter a/b/c.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
@@ -27,6 +26,12 @@ from .graphs import UserGraph
 DYAD_CODES = ("N", "O", "I", "M")
 _CODE_ORDER = {"N": 0, "O": 1, "I": 2, "M": 3}
 _FLIP = {"N": "N", "O": "I", "I": "O", "M": "M"}
+# For census_fast's closed form: the 10 unordered pairs of anchor-dyad codes,
+# as positions in DYAD_CODES, each with its config when the peers are unlinked.
+_UNLINKED_PAIRS = tuple(
+    (i, j, (DYAD_CODES[i], DYAD_CODES[j], "N"))
+    for i, j in itertools.combinations_with_replacement(range(len(DYAD_CODES)), 2)
+)
 
 TriadConfig = tuple[str, str, str]
 
@@ -268,14 +273,18 @@ def census_fast(g: UserGraph, table: ClassTable) -> MotifCensus:
     peer dyad is N; each linked pair then moves to its true class.
     """
     code_of, linked = _anchored_dyads(g)
-    tally = Counter(code_of)
+    class_of = table.config_index
+    tally = list(map(code_of.count, DYAD_CODES))
     counts = [0] * len(table.classes)
-    for c1, c2 in itertools.combinations_with_replacement(DYAD_CODES, 2):
-        pairs = tally[c1] * (tally[c1] - 1) // 2 if c1 == c2 else tally[c1] * tally[c2]
-        counts[table.index_of((c1, c2, "N"))] += pairs
+    for i, j, config in _UNLINKED_PAIRS:
+        n = tally[i]
+        pairs = n * (n - 1) // 2 if i == j else n * tally[j]
+        if pairs:
+            counts[class_of[config]] += pairs
     for (v, w), d3 in linked.items():
-        counts[table.index_of((code_of[v], code_of[w], "N"))] -= 1
-        counts[table.index_of((code_of[v], code_of[w], d3))] += 1
+        c1, c2 = code_of[v], code_of[w]
+        counts[class_of[c1, c2, "N"]] -= 1
+        counts[class_of[c1, c2, d3]] += 1
     return MotifCensus(tuple(counts), g.n_users)
 
 

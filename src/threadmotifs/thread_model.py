@@ -15,12 +15,14 @@ seconds and are not required to be monotone along parent links.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import CorpusParseError, ThreadValidationError
 
 SOURCES = ("focus", "baseline")
 DELETED_SENTINEL = "[deleted]"
+_POST_FIELDS = itemgetter("id", "parent", "author", "t")
 
 
 class PostRecord(NamedTuple):
@@ -98,45 +100,69 @@ def _index_thread(
     posts: list[tuple[str, str | None, str, int]],
     line_no: int | None = None,
 ) -> ThreadRecord:
-    """Index (id, parent, author, t) posts once, checking they form a reply tree."""
+    """Index (id, parent, author, t) posts in one pass, checking they form a reply tree.
+
+    Faults are reported in this order: no posts, an empty or duplicate id
+    (the first in post order), the root count, an unknown parent (the first
+    in post order), a cycle, a lone surrogate.
+    """
 
     def fail(message: str):
         raise ThreadValidationError(thread_id, message, line_no)
 
     if not posts:
         fail("thread has no posts")
-    ids, parents, authors, timestamps = zip(*posts)
     index: dict[str, int] = {}
-    for i, pid in enumerate(ids):
+    user_index: dict[str, int] = {}
+    parent_of: list[int | None] = []
+    author_of: list[int] = []
+    timestamps: list[int] = []
+    roots: list[int] = []
+    # Set when some parent is not an earlier post: a later one, the post
+    # itself, or none at all.
+    forward = False
+    for pid, parent, author, t in posts:
+        # len(index) is this post's index: every earlier id went in once.
+        if parent is None:
+            roots.append(len(index))
+            parent_of.append(None)
+        else:
+            # Resolved before this post's own id goes in, so a post that is its
+            # own parent stays unresolved and the tree walk below finds it.
+            p = index.get(parent, -1)
+            if p < 0:
+                forward = True
+            parent_of.append(p)
         if not pid:
             fail("empty post id")
         if pid in index:
             fail(f"duplicate post id {pid!r}")
-        index[pid] = i
-    roots = [i for i, parent in enumerate(parents) if parent is None]
+        index[pid] = len(index)
+        author_of.append(user_index.setdefault(author, len(user_index)))
+        timestamps.append(t)
     if len(roots) != 1:
         fail(f"expected exactly one root post, found {len(roots)}")
-    parent_of: list[int | None] = []
-    children: list[list[int]] = [[] for _ in ids]
-    for i, parent in enumerate(parents):
-        if parent is None:
-            parent_of.append(None)
-            continue
-        p = index.get(parent)
-        if p is None:
-            fail(f"post {ids[i]!r} replies to unknown parent {parent!r}")
-        parent_of.append(p)
-        children[p].append(i)
-    # Every post must be reachable from the root, else the parent links cycle.
-    reached = 0
-    stack = [roots[0]]
-    while stack:
-        reached += 1
-        stack.extend(children[stack.pop()])
-    if reached != len(ids):
-        fail("parent links contain a cycle")
-    user_index: dict[str, int] = {}
-    author_of = tuple(user_index.setdefault(a, len(user_index)) for a in authors)
+    ids = tuple(index)
+    if forward:
+        children: list[list[int]] = [[] for _ in ids]
+        for i, p in enumerate(parent_of):
+            if p == -1:
+                parent = posts[i][1]
+                p = parent_of[i] = index.get(parent)
+                if p is None:
+                    fail(f"post {ids[i]!r} replies to unknown parent {parent!r}")
+            if p is not None:
+                children[p].append(i)
+        # Every post must be reachable from the root, else the parent links
+        # cycle. Without forward references each parent precedes its child,
+        # so following parents always ends at the root.
+        reached = 0
+        stack = [roots[0]]
+        while stack:
+            reached += 1
+            stack.extend(children[stack.pop()])
+        if reached != len(ids):
+            fail("parent links contain a cycle")
     users = tuple(user_index)
     # json.loads turns an escape such as "\ud800" into a lone surrogate, which
     # no UTF-8 output can hold. (Joining never pairs surrogates up.)
@@ -146,12 +172,18 @@ def _index_thread(
     except UnicodeEncodeError:
         fail("text holds a lone surrogate, which UTF-8 cannot encode")
     return ThreadRecord(
-        thread_id, source, ids, tuple(parent_of), author_of, timestamps, users, roots[0]
+        thread_id, source, ids, tuple(parent_of), tuple(author_of), tuple(timestamps),
+        users, roots[0],
     )
 
 
 def parse_thread_line(line: str | bytes, line_no: int = 1) -> ThreadRecord:
-    """Parse and validate a single corpus line, given as text or UTF-8 bytes."""
+    """Parse and validate a single corpus line, given as text or UTF-8 bytes.
+
+    Faults are reported in this order: UTF-8 or JSON, the thread's fields,
+    each post's fields in post order, then the reply tree's (see
+    ``_index_thread``).
+    """
     try:
         if isinstance(line, bytes):
             line = line.decode("utf-8")
@@ -182,10 +214,14 @@ def parse_thread_line(line: str | bytes, line_no: int = 1) -> ThreadRecord:
         fail("'posts' must be an array")
     posts = []
     for raw in raw_posts:
-        if not isinstance(raw, dict):
-            fail("each post must be a JSON object")
-        pid, parent = raw.get("id"), raw.get("parent")
-        author, t = raw.get("author"), raw.get("t")
+        try:
+            pid, parent, author, t = post = _POST_FIELDS(raw)
+        except (KeyError, TypeError):  # a missing field, or not an object
+            if not isinstance(raw, dict):
+                fail("each post must be a JSON object")
+            pid, parent, author, t = post = (
+                raw.get("id"), raw.get("parent"), raw.get("author"), raw.get("t")
+            )
         if not (isinstance(pid, str) and pid):
             fail("post 'id' must be a non-empty string")
         if not (parent is None or isinstance(parent, str)):
@@ -196,7 +232,7 @@ def parse_thread_line(line: str | bytes, line_no: int = 1) -> ThreadRecord:
             fail(f"post {pid!r}: 't' must be an integer")
         if not -(2**63) <= t < 2**63:
             fail(f"post {pid!r}: 't' out of range")
-        posts.append((pid, parent, author, t))
+        posts.append(post)
     return _index_thread(thread_id, source, posts, line_no)
 
 

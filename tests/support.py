@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from collections import deque
 from fractions import Fraction
 
+from threadmotifs.errors import CorpusParseError, ThreadValidationError
 from threadmotifs.graphs import UserGraph
 from threadmotifs.motif_census import AnchoredTriadClass, dyad_code
-from threadmotifs.thread_model import PostRecord, ThreadRecord
+from threadmotifs.thread_model import SOURCES, PostRecord, ThreadRecord
 
 
 def make_thread(thread_id, source, posts) -> ThreadRecord:
@@ -73,6 +75,106 @@ def instances_oracle(g: UserGraph, cls: AnchoredTriadClass) -> list[tuple[int, i
         if (dyad_code(g, anchor, v), dyad_code(g, anchor, w), dyad_code(g, v, w))
         in cls.configs
     ]
+
+
+def parse_oracle(line: str | bytes, line_no: int = 1) -> ThreadRecord:
+    """parse_thread_line as a two-pass validator: check every post's fields,
+    then index the posts in separate passes (ids, roots, parents, a walk
+    from the root, authors)."""
+    try:
+        if isinstance(line, bytes):
+            line = line.decode("utf-8")
+        obj = json.loads(line)
+    except UnicodeDecodeError as err:
+        message = f"invalid UTF-8 ({err.reason} at byte offset {err.start})"
+        raise CorpusParseError(line_no, message) from err
+    except json.JSONDecodeError as err:
+        raise CorpusParseError(line_no, f"invalid JSON ({err.msg})") from err
+    except RecursionError as err:
+        raise CorpusParseError(line_no, "JSON nested too deeply") from err
+    except ValueError as err:
+        raise CorpusParseError(line_no, "JSON integer has too many digits") from err
+
+    def fail(message: str):
+        raise CorpusParseError(line_no, message)
+
+    if not isinstance(obj, dict):
+        fail("thread must be a JSON object")
+    thread_id = obj.get("thread_id")
+    if not (isinstance(thread_id, str) and thread_id):
+        fail("missing or empty 'thread_id'")
+    source = obj.get("source")
+    if source not in SOURCES:
+        fail(f"'source' must be one of {SOURCES}")
+    raw_posts = obj.get("posts")
+    if not isinstance(raw_posts, list):
+        fail("'posts' must be an array")
+    posts = []
+    for raw in raw_posts:
+        if not isinstance(raw, dict):
+            fail("each post must be a JSON object")
+        pid, parent = raw.get("id"), raw.get("parent")
+        author, t = raw.get("author"), raw.get("t")
+        if not (isinstance(pid, str) and pid):
+            fail("post 'id' must be a non-empty string")
+        if not (parent is None or isinstance(parent, str)):
+            fail(f"post {pid!r}: 'parent' must be a string or null")
+        if not isinstance(author, str):
+            fail(f"post {pid!r}: 'author' must be a string")
+        if not isinstance(t, int) or isinstance(t, bool):
+            fail(f"post {pid!r}: 't' must be an integer")
+        if not -(2**63) <= t < 2**63:
+            fail(f"post {pid!r}: 't' out of range")
+        posts.append((pid, parent, author, t))
+    return _index_oracle(thread_id, source, posts, line_no)
+
+
+def _index_oracle(thread_id, source, posts, line_no) -> ThreadRecord:
+    def fail(message: str):
+        raise ThreadValidationError(thread_id, message, line_no)
+
+    if not posts:
+        fail("thread has no posts")
+    ids, parents, authors, timestamps = zip(*posts)
+    index: dict[str, int] = {}
+    for i, pid in enumerate(ids):
+        if not pid:
+            fail("empty post id")
+        if pid in index:
+            fail(f"duplicate post id {pid!r}")
+        index[pid] = i
+    roots = [i for i, parent in enumerate(parents) if parent is None]
+    if len(roots) != 1:
+        fail(f"expected exactly one root post, found {len(roots)}")
+    parent_of: list[int | None] = []
+    children: list[list[int]] = [[] for _ in ids]
+    for i, parent in enumerate(parents):
+        if parent is None:
+            parent_of.append(None)
+            continue
+        p = index.get(parent)
+        if p is None:
+            fail(f"post {ids[i]!r} replies to unknown parent {parent!r}")
+        parent_of.append(p)
+        children[p].append(i)
+    reached = 0
+    stack = [roots[0]]
+    while stack:
+        reached += 1
+        stack.extend(children[stack.pop()])
+    if reached != len(ids):
+        fail("parent links contain a cycle")
+    user_index: dict[str, int] = {}
+    author_of = tuple(user_index.setdefault(a, len(user_index)) for a in authors)
+    users = tuple(user_index)
+    try:
+        for text in (thread_id, source, "".join(ids), "".join(users)):
+            text.encode()
+    except UnicodeEncodeError:
+        fail("text holds a lone surrogate, which UTF-8 cannot encode")
+    return ThreadRecord(
+        thread_id, source, ids, tuple(parent_of), author_of, timestamps, users, roots[0]
+    )
 
 
 def completion_oracle(g: UserGraph, cls: AnchoredTriadClass, t0: int, t1: int) -> list:

@@ -6,10 +6,14 @@ import json
 import pickle
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from threadmotifs.errors import CorpusParseError, ThreadValidationError
 from threadmotifs.thread_model import (
     FilterPolicy,
+    PostRecord,
+    ThreadRecord,
     filter_corpus,
     parse_corpus,
     parse_numbered,
@@ -18,7 +22,7 @@ from threadmotifs.thread_model import (
     to_json_line,
 )
 
-from support import make_thread, synth_corpus
+from support import make_thread, parse_oracle, synth_corpus
 
 
 def thread_json(thread_id="t", source="focus", posts=None) -> str:
@@ -159,6 +163,113 @@ class TestParse:
         lines = [to_json_line(t) for t in originals]
         reparsed = list(parse_corpus(lines))
         assert reparsed == originals
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and arguments of the error it raised."""
+    try:
+        return fn(*args)
+    except (CorpusParseError, ThreadValidationError) as err:
+        return type(err), err.args
+
+
+# Values a mutated post field takes: wrong types, both sides of the 64-bit
+# bounds, empty, known and unknown ids, and lone surrogates.
+ODD_VALUES = st.sampled_from(
+    [None, True, False, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 1.5, [None],
+     "", "p0", "p1", "p2", "p9", "\ud800", "b\udfff"]
+)
+
+
+@st.composite
+def corpus_lines(draw):
+    """Lines that are mostly trees in shuffled post order, some with faults:
+    bad or missing fields, posts that are not objects, repeated or unknown
+    ids, extra roots, cycles and lone surrogates."""
+    n = draw(st.integers(0, 6))
+    posts = [
+        {
+            "id": f"p{i}",
+            "parent": None if i == 0 else f"p{draw(st.integers(0, i - 1))}",
+            "author": draw(st.sampled_from(["a", "b", "c", "\udc80"])),
+            "t": draw(st.integers(-3, 3)),
+        }
+        for i in range(n)
+    ]
+    posts = draw(st.permutations(posts))
+    for _ in range(draw(st.integers(0, 3))):
+        if not posts:
+            break
+        i = draw(st.integers(0, len(posts) - 1))
+        key = draw(st.sampled_from(["id", "parent", "parent", "author", "t", None]))
+        if key is None:
+            posts[i] = draw(ODD_VALUES)
+        elif isinstance(posts[i], dict):
+            if draw(st.booleans()):
+                posts[i].pop(key, None)
+            else:
+                posts[i][key] = draw(ODD_VALUES)
+    thread = {
+        "thread_id": draw(st.sampled_from(["t"] * 6 + ["", "t\ud800", 7])),
+        "source": draw(st.sampled_from(["focus"] * 3 + ["baseline"] * 3 + ["other"])),
+        "posts": posts,
+    }
+    line = json.dumps(thread, ensure_ascii=draw(st.booleans()))
+    return line.encode() if draw(st.booleans()) and line.isascii() else line
+
+
+def _line(*posts, thread_id="t", source="focus"):
+    return json.dumps({"thread_id": thread_id, "source": source, "posts": list(posts)})
+
+
+ROOT = {"id": "p0", "parent": None, "author": "a", "t": 0}
+
+
+class TestParseOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(line=corpus_lines(), line_no=st.integers(1, 10**6))
+    @example(  # a post that is its own parent
+        line=_line(ROOT, {"id": "p1", "parent": "p1", "author": "b", "t": 1}), line_no=1
+    )
+    @example(  # a reply before its parent
+        line=_line({"id": "p1", "parent": "p0", "author": "b", "t": 1}, ROOT), line_no=1
+    )
+    @example(  # a duplicate id after a forward reference
+        line=_line(
+            {"id": "p1", "parent": "p2", "author": "b", "t": 1},
+            ROOT,
+            {"id": "p1", "parent": "p0", "author": "c", "t": 2},
+        ),
+        line_no=1,
+    )
+    @example(  # a missing "parent" key makes a root
+        line=_line({"id": "p0", "author": "a", "t": 0}), line_no=1
+    )
+    @example(line=_line({**ROOT, "id": ""}), line_no=1)
+    @example(line=_line({**ROOT, "t": True}), line_no=1)
+    @example(line=_line({**ROOT, "t": 2**63}), line_no=1)
+    @example(  # a non-object post after a post with a bad field
+        line=_line({**ROOT, "author": 5}, 7), line_no=1
+    )
+    @example(line=_line({**ROOT, "author": "\ud800"}), line_no=1)  # escaped lone surrogate
+    def test_parse_matches_oracle(self, line, line_no):
+        assert _outcome(parse_thread_line, line, line_no) == _outcome(
+            parse_oracle, line, line_no
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(line=corpus_lines(), data=st.data())
+    def test_from_posts_on_shuffled_posts_matches_oracle(self, line, data):
+        expected = _outcome(parse_oracle, line, None)
+        if isinstance(expected, tuple) and expected[0] is CorpusParseError:
+            return  # a field fault: from_posts takes typed posts and never sees one
+        obj = json.loads(line)
+        posts = data.draw(st.permutations(obj["posts"]))
+        shuffled = _line(*posts, thread_id=obj["thread_id"], source=obj["source"])
+        expected = _outcome(parse_oracle, shuffled, None)
+        records = [PostRecord(p["id"], p.get("parent"), p["author"], p["t"]) for p in posts]
+        got = _outcome(ThreadRecord.from_posts, obj["thread_id"], obj["source"], records)
+        assert got == expected
 
 
 class TestFilter:
