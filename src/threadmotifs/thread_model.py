@@ -41,7 +41,8 @@ class ThreadRecord(NamedTuple):
     (None for the root, whose index is ``root``), was written by
     ``users[author_of[i]]`` and posted at ``timestamps[i]``. ``users`` holds
     the distinct authors in order of first appearance. Build records with
-    ``from_posts`` or ``parse_thread_line``, which check the reply tree.
+    ``from_posts`` or ``parse_thread_line``, which check every field and
+    the reply tree.
     """
 
     thread_id: str
@@ -57,8 +58,10 @@ class ThreadRecord(NamedTuple):
     def from_posts(
         cls, thread_id: str, source: str, posts: Iterable[PostRecord]
     ) -> ThreadRecord:
-        """Index and validate (id, parent, author, t) posts given in any order."""
-        return _index_thread(thread_id, source, list(posts))
+        """Check and index (id, parent, author, t) posts given in any order."""
+        return _index_thread(
+            thread_id, source, [dict(zip(PostRecord._fields, post)) for post in posts]
+        )
 
     @property
     def posts(self) -> tuple[PostRecord, ...]:
@@ -95,21 +98,31 @@ class FilterPolicy(_FilterPolicy):
 
 
 def _index_thread(
-    thread_id: str,
-    source: str,
-    posts: list[tuple[str, str | None, str, int]],
-    line_no: int | None = None,
+    thread_id: str, source: str, posts: list[dict], line_no: int | None = None
 ) -> ThreadRecord:
-    """Index (id, parent, author, t) posts in one pass, checking they form a reply tree.
+    """Check a thread's fields and index its posts in one pass.
 
-    Faults are reported in this order: no posts, an empty or duplicate id
-    (the first in post order), the root count, an unknown parent (the first
-    in post order), a cycle, a lone surrogate.
+    Faults are reported in this order: the thread's fields, no posts, each
+    post's fields in post order, a duplicate id (the first in post order),
+    the root count, an unknown parent (the first in post order), a cycle, a
+    lone surrogate. A field fault is a ``CorpusParseError`` when the thread
+    came from line ``line_no``, else a ``ThreadValidationError``.
     """
 
     def fail(message: str):
         raise ThreadValidationError(thread_id, message, line_no)
 
+    def bad_field(message: str):
+        if line_no is None:
+            fail(message)
+        raise CorpusParseError(line_no, message)
+
+    if not (isinstance(thread_id, str) and thread_id):
+        bad_field("missing or empty 'thread_id'")
+    if source not in SOURCES:
+        bad_field(f"'source' must be one of {SOURCES}")
+    if not isinstance(posts, list):
+        bad_field("'posts' must be an array")
     if not posts:
         fail("thread has no posts")
     index: dict[str, int] = {}
@@ -118,11 +131,31 @@ def _index_thread(
     author_of: list[int] = []
     timestamps: list[int] = []
     roots: list[int] = []
+    duplicate = None
     # Set when some parent is not an earlier post: a later one, the post
     # itself, or none at all.
     forward = False
-    for pid, parent, author, t in posts:
-        # len(index) is this post's index: every earlier id went in once.
+    for raw in posts:
+        try:
+            pid, parent, author, t = _POST_FIELDS(raw)
+        except (KeyError, TypeError):  # a missing field, or not an object
+            if not isinstance(raw, dict):
+                bad_field("each post must be a JSON object")
+            pid, parent, author, t = (
+                raw.get("id"), raw.get("parent"), raw.get("author"), raw.get("t")
+            )
+        if not (isinstance(pid, str) and pid):
+            bad_field("post 'id' must be a non-empty string")
+        if not (parent is None or isinstance(parent, str)):
+            bad_field(f"post {pid!r}: 'parent' must be a string or null")
+        if not isinstance(author, str):
+            bad_field(f"post {pid!r}: 'author' must be a string")
+        if not isinstance(t, int) or isinstance(t, bool):
+            bad_field(f"post {pid!r}: 't' must be an integer")
+        if not -(2**63) <= t < 2**63:
+            bad_field(f"post {pid!r}: 't' out of range")
+        # len(index) is this post's index until a duplicate id, which is
+        # raised once the loop has checked the later posts' fields.
         if parent is None:
             roots.append(len(index))
             parent_of.append(None)
@@ -133,13 +166,14 @@ def _index_thread(
             if p < 0:
                 forward = True
             parent_of.append(p)
-        if not pid:
-            fail("empty post id")
         if pid in index:
-            fail(f"duplicate post id {pid!r}")
-        index[pid] = len(index)
+            duplicate = duplicate or pid
+        else:
+            index[pid] = len(index)
         author_of.append(user_index.setdefault(author, len(user_index)))
         timestamps.append(t)
+    if duplicate:
+        fail(f"duplicate post id {duplicate!r}")
     if len(roots) != 1:
         fail(f"expected exactly one root post, found {len(roots)}")
     ids = tuple(index)
@@ -147,7 +181,7 @@ def _index_thread(
         children: list[list[int]] = [[] for _ in ids]
         for i, p in enumerate(parent_of):
             if p == -1:
-                parent = posts[i][1]
+                parent = posts[i]["parent"]
                 p = parent_of[i] = index.get(parent)
                 if p is None:
                     fail(f"post {ids[i]!r} replies to unknown parent {parent!r}")
@@ -180,9 +214,8 @@ def _index_thread(
 def parse_thread_line(line: str | bytes, line_no: int = 1) -> ThreadRecord:
     """Parse and validate a single corpus line, given as text or UTF-8 bytes.
 
-    Faults are reported in this order: UTF-8 or JSON, the thread's fields,
-    each post's fields in post order, then the reply tree's (see
-    ``_index_thread``).
+    Faults are reported in this order: UTF-8 or JSON, a line that is not an
+    object, then the thread's (see ``_index_thread``).
     """
     try:
         if isinstance(line, bytes):
@@ -197,43 +230,9 @@ def parse_thread_line(line: str | bytes, line_no: int = 1) -> ThreadRecord:
         raise CorpusParseError(line_no, "JSON nested too deeply") from err
     except ValueError as err:  # an integer literal over int's digit limit
         raise CorpusParseError(line_no, "JSON integer has too many digits") from err
-
-    def fail(message: str):
-        raise CorpusParseError(line_no, message)
-
     if not isinstance(obj, dict):
-        fail("thread must be a JSON object")
-    thread_id = obj.get("thread_id")
-    if not (isinstance(thread_id, str) and thread_id):
-        fail("missing or empty 'thread_id'")
-    source = obj.get("source")
-    if source not in SOURCES:
-        fail(f"'source' must be one of {SOURCES}")
-    raw_posts = obj.get("posts")
-    if not isinstance(raw_posts, list):
-        fail("'posts' must be an array")
-    posts = []
-    for raw in raw_posts:
-        try:
-            pid, parent, author, t = post = _POST_FIELDS(raw)
-        except (KeyError, TypeError):  # a missing field, or not an object
-            if not isinstance(raw, dict):
-                fail("each post must be a JSON object")
-            pid, parent, author, t = post = (
-                raw.get("id"), raw.get("parent"), raw.get("author"), raw.get("t")
-            )
-        if not (isinstance(pid, str) and pid):
-            fail("post 'id' must be a non-empty string")
-        if not (parent is None or isinstance(parent, str)):
-            fail(f"post {pid!r}: 'parent' must be a string or null")
-        if not isinstance(author, str):
-            fail(f"post {pid!r}: 'author' must be a string")
-        if not isinstance(t, int) or isinstance(t, bool):
-            fail(f"post {pid!r}: 't' must be an integer")
-        if not -(2**63) <= t < 2**63:
-            fail(f"post {pid!r}: 't' out of range")
-        posts.append(post)
-    return _index_thread(thread_id, source, posts, line_no)
+        raise CorpusParseError(line_no, "thread must be a JSON object")
+    return _index_thread(obj.get("thread_id"), obj.get("source"), obj.get("posts"), line_no)
 
 
 def parse_corpus(

@@ -843,12 +843,17 @@ class TestConfigErrors:
         assert seen == [3, 3, 2, 3]
 
 
-HUGE_GAPS = to_json_line(
-    make_thread(
-        "huge-gaps",
-        "focus",
-        [("p0", None, "op", 0)] + [(f"p{i}", "p0", f"u{i}", i * 10**400) for i in range(1, 6)],
-    )
+# Built as JSON because no ThreadRecord holds a timestamp outside 64 bits.
+HUGE_GAPS = json.dumps(
+    {
+        "thread_id": "huge-gaps",
+        "source": "focus",
+        "posts": [{"id": "p0", "parent": None, "author": "op", "t": 0}]
+        + [
+            {"id": f"p{i}", "parent": "p0", "author": f"u{i}", "t": i * 10**400}
+            for i in range(1, 6)
+        ],
+    }
 )
 HOSTILE_LINES = {
     "deep-nesting": (b"[" * 200_000, "JSON nested too deeply"),

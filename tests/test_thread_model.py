@@ -6,11 +6,12 @@ import json
 import pickle
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from threadmotifs.errors import CorpusParseError, ThreadValidationError
 from threadmotifs.thread_model import (
+    SOURCES,
     FilterPolicy,
     PostRecord,
     ThreadRecord,
@@ -218,6 +219,24 @@ def corpus_lines(draw):
     return line.encode() if draw(st.booleans()) and line.isascii() else line
 
 
+@st.composite
+def tree_posts(draw):
+    """The posts of a reply tree in shuffled order, as records with any text
+    and any 64-bit timestamps."""
+    n = draw(st.integers(1, 6))
+    ids = draw(st.lists(st.text(min_size=1), min_size=n, max_size=n, unique=True))
+    posts = [
+        PostRecord(
+            ids[i],
+            None if i == 0 else ids[draw(st.integers(0, i - 1))],
+            draw(st.text(max_size=4)),
+            draw(st.integers(-(2**63), 2**63 - 1)),
+        )
+        for i in range(n)
+    ]
+    return draw(st.permutations(posts))
+
+
 def _line(*posts, thread_id="t", source="focus"):
     return json.dumps({"thread_id": thread_id, "source": source, "posts": list(posts)})
 
@@ -260,16 +279,66 @@ class TestParseOracle:
     @settings(max_examples=300, deadline=None)
     @given(line=corpus_lines(), data=st.data())
     def test_from_posts_on_shuffled_posts_matches_oracle(self, line, data):
-        expected = _outcome(parse_oracle, line, None)
-        if isinstance(expected, tuple) and expected[0] is CorpusParseError:
-            return  # a field fault: from_posts takes typed posts and never sees one
         obj = json.loads(line)
         posts = data.draw(st.permutations(obj["posts"]))
+        # from_posts takes (id, parent, author, t) records: a post that is not
+        # an object has no such form.
+        assume(all(isinstance(p, dict) for p in posts))
         shuffled = _line(*posts, thread_id=obj["thread_id"], source=obj["source"])
         expected = _outcome(parse_oracle, shuffled, None)
-        records = [PostRecord(p["id"], p.get("parent"), p["author"], p["t"]) for p in posts]
+        if isinstance(expected, tuple) and expected[0] is CorpusParseError:
+            expected = ThreadValidationError, (obj["thread_id"], expected[1][1], None)
+        records = [PostRecord(*map(p.get, PostRecord._fields)) for p in posts]
         got = _outcome(ThreadRecord.from_posts, obj["thread_id"], obj["source"], records)
         assert got == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(thread_id=st.text(), source=st.sampled_from([*SOURCES, "other"]), posts=tree_posts())
+    def test_accepted_records_round_trip(self, thread_id, source, posts):
+        try:
+            record = ThreadRecord.from_posts(thread_id, source, posts)
+        except ThreadValidationError:
+            return
+        assert parse_thread_line(to_json_line(record)) == record
+
+
+# (thread_id, source, fields of post p1): inputs that from_posts once accepted
+# or met with a bare TypeError.
+BAD_FIELDS = [
+    ("t", "focus", {"t": "soon"}),
+    ("t", "focus", {"t": 2**70}),
+    ("t", "focus", {"t": True}),
+    ("t", "elsewhere", {}),
+    ("", "focus", {}),
+    ("t", "focus", {"author": 5}),
+    ("t", "focus", {"id": ["p1"]}),
+    ("t", "focus", {"parent": ["p0"]}),
+    ("t", "focus", {"author": ["b"]}),
+]
+
+
+class TestFromPosts:
+    @pytest.mark.parametrize("thread_id, source, fields", BAD_FIELDS)
+    def test_bad_field_raises_parse_message(self, thread_id, source, fields):
+        posts = [ROOT, {"id": "p1", "parent": "p0", "author": "b", "t": 1, **fields}]
+        with pytest.raises(CorpusParseError) as parsed:
+            parse_thread_line(_line(*posts, thread_id=thread_id, source=source))
+        with pytest.raises(ThreadValidationError) as built:
+            ThreadRecord.from_posts(thread_id, source, [PostRecord(**p) for p in posts])
+        assert built.value.args == (thread_id, parsed.value.args[1], None)
+
+    def test_numpy_timestamp_is_rejected(self):
+        np = pytest.importorskip("numpy")
+        with pytest.raises(ThreadValidationError, match="'t' must be an integer"):
+            ThreadRecord.from_posts("t", "focus", [PostRecord("p0", None, "a", np.int64(0))])
+
+    def test_later_field_fault_beats_duplicate_id(self):
+        posts = [ROOT, ROOT, {**ROOT, "id": "p1", "author": 5}]
+        message = "post 'p1': 'author' must be a string"
+        with pytest.raises(CorpusParseError, match=message):
+            parse_thread_line(_line(*posts))
+        with pytest.raises(ThreadValidationError, match=message):
+            ThreadRecord.from_posts("t", "focus", [PostRecord(**p) for p in posts])
 
 
 class TestFilter:
