@@ -15,6 +15,7 @@ import csv
 import itertools
 import math
 import os
+import stat
 import sys
 from collections import Counter
 from functools import partial
@@ -56,9 +57,12 @@ COMPARE_HEADER = (
 ).split(",")
 # Corpus bytes per batch. Each batch of lines is parsed, filtered and turned
 # into rows in one step (in a worker at --jobs > 1), so no process ever holds
-# more than one batch of threads, and a batch is big enough that shipping it
-# costs little next to parsing it.
+# more than one batch of threads, and a batch is big enough that sending its
+# rows costs little next to parsing it.
 BATCH_BYTES = 64 * 1024
+# Batches a worker holds at once. With a second one queued, a worker starts
+# it as soon as it sends a result, instead of waiting for the main process.
+ITEMS_PER_WORKER = 2
 
 
 def _fmt(value) -> str:
@@ -94,36 +98,42 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _line_batches(path: Path) -> Iterator[tuple[int, list[bytes]]]:
-    """Cut the corpus into (first line number, lines) batches of ~BATCH_BYTES."""
-    first_line, lines, size = 1, [], 0
+def _line_batches(path: Path) -> Iterator[tuple[int, int, int, list[bytes]]]:
+    """Cut the corpus into batches of whole lines, ~BATCH_BYTES each.
+
+    Yields (first line number, byte offset, byte count, lines) per batch,
+    the lines without their ends. The byte ranges follow each other with no
+    gap and cover the whole input.
+    """
+    first_line, offset, lines, size = 1, 0, [], 0
     with open(path, "rb") as fh:
         for chunk in fh:
             # splitlines() ends lines where text mode would: \n, \r\n or a lone \r,
             # so a chunk may hold many lines and the size is checked per line.
-            for line in chunk.splitlines():
-                lines.append(line)
-                size += len(line) + 1
+            for line in chunk.splitlines(keepends=True):
+                lines.append(line.rstrip(b"\r\n"))
+                size += len(line)
                 if size >= BATCH_BYTES:
-                    yield first_line, lines
-                    first_line, lines, size = first_line + len(lines), [], 0
+                    yield first_line, offset, size, lines
+                    first_line, offset = first_line + len(lines), offset + size
+                    lines, size = [], 0
     if lines:
-        yield first_line, lines
+        yield first_line, offset, size, lines
 
 
 def _batch_rows(
     row_fn: Callable[[ThreadRecord], list],
     policy: FilterPolicy,
-    batch: tuple[int, list[bytes]],
+    first_line: int,
+    lines: list[bytes],
 ) -> list:
-    """Parse, filter and compute the rows of one (first line number, lines) batch.
+    """Parse, filter and compute the rows of one batch of lines.
 
     Returns one item per non-blank line, in input order: the text of the
     line's parse or validation error (which names the line), or a (line
     number, thread id, rows) triple for a valid thread, with rows None when
     the filter drops it.
     """
-    first_line, lines = batch
     events: list = []  # errors and (line number, thread) pairs, in input order
     for numbered in parse_numbered(lines, events.append, first_line):
         events.append(numbered)
@@ -137,27 +147,78 @@ def _batch_rows(
     ]
 
 
+def _range_rows(
+    row_fn: Callable[[ThreadRecord], list],
+    policy: FilterPolicy,
+    corpus: tuple[str, int, int],
+    batch: tuple[int, int, int],
+) -> list:
+    """_batch_rows of a (first line number, byte offset, byte count) range.
+
+    A worker reads the range from the corpus file itself, which ``corpus``
+    names as (path, device, inode). A file that is no longer the one that
+    was cut, or that ends before the range does, is an input error.
+    """
+    path, device, inode = corpus
+    first_line, offset, count = batch
+    with open(path, "rb") as fh:
+        st = os.fstat(fh.fileno())
+        fh.seek(offset)
+        data = fh.read(count)
+    if (st.st_dev, st.st_ino) != (device, inode):
+        raise ThreadMotifsError(f"{path}: the input file was replaced during the run")
+    if len(data) != count:
+        raise ThreadMotifsError(
+            f"{path}: the input file changed during the run: "
+            f"read {len(data)} of {count} bytes at offset {offset}"
+        )
+    return _batch_rows(row_fn, policy, first_line, data.splitlines())
+
+
+def _regular_file(path: Path) -> tuple[str, int, int] | None:
+    """(path, device, inode) of a regular file that workers can open again by
+    name, or None for any other input: a pipe, a FIFO, a terminal."""
+    st = os.stat(path)
+    if not stat.S_ISREG(st.st_mode):
+        return None
+    # /dev/stdin or /dev/fd/N would name each worker's own descriptor, so the
+    # workers open the file that the name resolves to, if it is this one.
+    real = os.path.realpath(path)
+    try:
+        same = os.path.samestat(st, os.stat(real))
+    except OSError:  # the name resolves to nothing, as for a deleted file
+        return None
+    return (real, st.st_dev, st.st_ino) if same else None
+
+
 def _thread_rows(
     args: Namespace, row_fn: Callable[[ThreadRecord], list]
 ) -> Iterator[list]:
     """Yield row_fn's rows, one list per kept thread of ``args.input``, in input order.
 
-    Line batches go through _batch_rows, in up to ``args.jobs`` worker
-    processes when the corpus spans more than one batch. Problems go to
-    stderr as the batches come back; a thread whose id an earlier valid
-    thread already has is skipped, whatever the filter makes of either.
+    The corpus is cut into line batches. When ``args.jobs`` > 1, the corpus
+    spans more than one batch and ``args.input`` is a regular file, up to
+    ``args.jobs`` worker processes each read their batches' byte ranges from
+    the file and run _batch_rows on them; otherwise the main process runs it
+    on each batch's lines. Problems go to stderr as the batches come back; a
+    thread whose id an earlier valid thread already has is skipped, whatever
+    the filter makes of either.
     """
+    # Stat the input before the cut opens it: if the name then comes to mean
+    # another file, the workers see that, and fail, instead of mixing two.
+    corpus = _regular_file(args.input) if args.jobs > 1 else None
     rest = _line_batches(args.input)
     head = list(itertools.islice(rest, 2))
     batches = itertools.chain(head, rest)
     policy = FilterPolicy(
         args.min_extra_posts, args.drop_deleted_root, args.deleted_sentinel
     )
-    batch_fn = partial(_batch_rows, row_fn, policy)
-    if args.jobs <= 1 or len(head) < 2:
-        yield from _merge_batches(map(batch_fn, batches))
+    if corpus is None or len(head) < 2:
+        results = (_batch_rows(row_fn, policy, b[0], b[3]) for b in batches)
     else:
-        yield from _merge_batches(_ordered_map(batch_fn, batches, args.jobs))
+        range_fn = partial(_range_rows, row_fn, policy, corpus)
+        results = _ordered_map(range_fn, (b[:3] for b in batches), args.jobs)
+    yield from _merge_batches(results)
 
 
 def _serve(conn, parent_end, fn: Callable) -> None:
@@ -186,33 +247,47 @@ def _serve(conn, parent_end, fn: Callable) -> None:
 def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
     """Yield fn(item) for each item, in input order, computed in worker processes.
 
-    A worker starts only when an item is ready for it and none is idle, so
-    there are never more than ``jobs`` workers, nor more than items. Each
-    worker holds one item at a time and the parent sends only to an idle
-    one, so no item or result size can fill both ends of a pipe. A result
-    that comes back before an earlier item's waits in the parent, so a slow
-    item holds up no worker. The parent runs no threads: it sleeps in
-    ``wait`` until a worker replies or dies, and a worker that dies is an
-    error, not a hang.
+    Each worker holds up to ITEMS_PER_WORKER items, so it starts its next
+    item as soon as it sends a result. An item goes to an idle worker if
+    there is one, else to a new worker while there are fewer than ``jobs``,
+    else to a worker with room; so there are never more workers than
+    ``jobs``, nor than items. Items must be small: the parent sends to busy
+    workers, which may be blocked sending a result, and a few small items
+    always fit in the pipe. A result that comes back before an earlier
+    item's waits in the parent, so a slow item holds up no worker. The
+    parent runs no threads: it sleeps in ``wait`` until a worker replies or
+    dies, and a worker that dies is an error, not a hang.
     """
     import multiprocessing  # here, so serial runs never load multiprocessing
     from multiprocessing.connection import wait
 
     todo = enumerate(items)
     workers = {}  # connection -> its worker process
-    idle = []  # connections of workers holding no item
-    held = {}  # connection -> index of the item its worker holds
+    held = {}  # connection -> indices of the items its worker holds, oldest first
     done = {}  # index -> (ok, result) of items finished but not yet yielded
     yielded = 0
+
+    def died(conn) -> ThreadMotifsError:
+        worker = workers[conn]
+        worker.join()
+        return ThreadMotifsError(
+            f"worker process exited unexpectedly (exit code {worker.exitcode})"
+        )
+
     try:
         while True:
             # Hand out items before yielding, so workers compute while the
             # caller consumes a result.
-            while idle or len(workers) < jobs:
+            while True:
+                conn = min(held, key=lambda c: len(held[c]), default=None)
+                if conn is None or held[conn] and len(workers) < jobs:
+                    conn = None  # start a worker for the next item
+                elif len(held[conn]) == ITEMS_PER_WORKER:
+                    break
                 index, item = next(todo, (None, None))
                 if index is None:
                     break
-                if not idle:
+                if conn is None:
                     conn, child_conn = multiprocessing.Pipe()
                     worker = multiprocessing.Process(
                         target=_serve, args=(child_conn, conn, fn)
@@ -220,31 +295,26 @@ def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
                     worker.start()
                     # Now only the worker holds its end, so its death reads as EOF.
                     child_conn.close()
-                    workers[conn] = worker
-                    idle.append(conn)
-                conn = idle.pop()
-                conn.send(item)
-                held[conn] = index
+                    workers[conn], held[conn] = worker, []
+                try:
+                    conn.send(item)
+                except OSError:  # the worker is gone
+                    raise died(conn) from None
+                held[conn].append(index)
             if yielded in done:
                 ok, result = done.pop(yielded)
                 yielded += 1
                 if not ok:
                     raise result
                 yield result
-            elif not held:
+            elif not any(held.values()):
                 return
             else:
-                for conn in wait(list(held)):
+                for conn in wait([c for c, indices in held.items() if indices]):
                     try:
-                        done[held.pop(conn)] = conn.recv()
+                        done[held[conn].pop(0)] = conn.recv()
                     except (EOFError, OSError):
-                        worker = workers[conn]
-                        worker.join()
-                        raise ThreadMotifsError(
-                            "worker process exited unexpectedly "
-                            f"(exit code {worker.exitcode})"
-                        ) from None
-                    idle.append(conn)
+                        raise died(conn) from None
     finally:
         for conn, worker in workers.items():
             conn.close()

@@ -9,11 +9,14 @@ plain empirical CDF over any metric's corpus-wide sample.
 from __future__ import annotations
 
 from collections import deque
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import UndefinedMetricError
 from .graphs import ReplyGraph, UserGraph, build_reply_graph, build_user_graph
 from .thread_model import ThreadRecord
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 BRANCHING_MODES = ("internal", "all")
 
@@ -90,17 +93,22 @@ def op_betweenness(g: UserGraph) -> float:
     unreachable pairs contribute 0. The anchor lies on a shortest s-t path
     exactly when dist(s, anchor) + dist(anchor, t) = dist(s, t), in which
     case the paths through it number sigma(s, anchor) * sigma(anchor, t).
-    Accumulates exactly in rational arithmetic.
+    The float is the nearest to the exact rational sum.
     """
+    return float(_op_betweenness_exact(g))
+
+
+def _op_betweenness_exact(g: UserGraph) -> Fraction:
+    """op_betweenness's exact rational sum."""
     from fractions import Fraction  # here, so start-up skips fractions and decimal
 
     n = g.n_users
     anchor = g.anchor
+    total = Fraction(0)
     if n <= 2:
-        return 0.0
+        return total
     succ = g.successor_lists()
     dist_a, sigma_a = _bfs_counts(succ, anchor)
-    total = Fraction(0)
     for s in range(n):
         if s == anchor:
             continue
@@ -113,7 +121,7 @@ def op_betweenness(g: UserGraph) -> float:
                 continue
             if d_sa + dist_a[t] == dist_s[t]:
                 total += Fraction(sigma_s[anchor] * sigma_a[t], sigma_s[t])
-    return float(total)
+    return total
 
 
 def branching_factor(r: ReplyGraph, mode: str = "internal") -> float:

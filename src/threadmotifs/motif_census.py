@@ -17,6 +17,7 @@ type into several variants, a trailing letter a/b/c.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
@@ -323,13 +324,28 @@ def completion_fractions(
     if t1 < t0:
         raise InvalidLifetimeError(f"lifetime ends before it starts ({t1} < {t0})")
     anchor = g.anchor
+    # The latest edge time of each user with the anchor, and of each linked
+    # pair (v < w) of other users; -inf for a user with no anchor edge. An
+    # instance has an edge, so its completion is always an edge's time.
+    latest = [-math.inf] * g.n_users
+    pair_latest: dict[tuple[int, int], int] = {}
+    for (u, v), t in g.edges.items():
+        if u == anchor or v == anchor:
+            other = v if u == anchor else u
+            if t > latest[other]:
+                latest[other] = t
+        else:
+            pair = (u, v) if u < v else (v, u)
+            if t > pair_latest.get(pair, -math.inf):
+                pair_latest[pair] = t
+    instances = motif_instances(g, cls)
     span = t1 - t0
+    if span == 0:
+        return [(pair, 0.0) for pair in instances]
+    peer = pair_latest.get
     timed = []
-    for v, w in motif_instances(g, cls):
-        candidates = (
-            (anchor, v), (v, anchor), (anchor, w), (w, anchor), (v, w), (w, v),
-        )
-        completion = max(g.edges[e] for e in candidates if e in g.edges)
-        fraction = 0.0 if span == 0 else min(1.0, max(0.0, (completion - t0) / span))
-        timed.append(((v, w), fraction))
+    for v, w in instances:
+        completion = max(latest[v], latest[w], peer((v, w), -math.inf))
+        fraction = (completion - t0) / span
+        timed.append(((v, w), 0.0 if fraction < 0 else 1.0 if fraction > 1 else fraction))
     return timed

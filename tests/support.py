@@ -209,6 +209,11 @@ def betweenness_oracle(g: UserGraph) -> float:
     increasing paths per ordered pair and checks anchor membership.
     Only meant for small graphs.
     """
+    return float(betweenness_oracle_exact(g))
+
+
+def betweenness_oracle_exact(g: UserGraph) -> Fraction:
+    """betweenness_oracle's exact rational sum."""
     n = g.n_users
     anchor = g.anchor
     succ = g.successor_lists()
@@ -233,7 +238,7 @@ def betweenness_oracle(g: UserGraph) -> float:
             extend(s, [s])
             through = sum(1 for path in paths if anchor in path)
             total += Fraction(through, len(paths))
-    return float(total)
+    return total
 
 
 def synth_corpus(n_threads, source, reply_back_prob, seed=20240301):

@@ -653,11 +653,81 @@ class TestBatchPath:
         monkeypatch.setattr(cli, "BATCH_BYTES", 3000)
         batches = list(cli._line_batches(corpus))
         assert len(batches) > 1
-        assert [n for n, _ in batches] == list(
-            itertools.accumulate([1] + [len(lines) for _, lines in batches[:-1]])
+        assert [b[0] for b in batches] == list(
+            itertools.accumulate([1] + [len(b[3]) for b in batches[:-1]])
         )
+        data = corpus.read_bytes()
+        for _, offset, count, lines in batches:  # a worker reads these lines
+            assert data[offset : offset + count].splitlines() == lines
         for jobs in ("1", "2"):
             assert self.run_all(tmp_path, corpus, f"j{jobs}", jobs, capsys) == whole
+
+    @pytest.mark.parametrize("batch_bytes", [1, 3000])
+    def test_ranges_cover_the_hostile_corpus(self, hostile_corpus, monkeypatch, batch_bytes):
+        monkeypatch.setattr(cli, "BATCH_BYTES", batch_bytes)
+        batches = list(cli._line_batches(hostile_corpus))
+        assert len(batches) > 4
+        ends = list(itertools.accumulate(count for _, _, count, _ in batches))
+        assert [offset for _, offset, _, _ in batches] == [0, *ends[:-1]]
+        assert ends[-1] == hostile_corpus.stat().st_size
+        data = hostile_corpus.read_bytes()
+        assert [line for b in batches for line in b[3]] == data.splitlines()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo on this platform")
+    def test_fifo_input_gives_the_regular_files_bytes(
+        self, tmp_path, hostile_corpus, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "BATCH_BYTES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def census(corpus, name):
+            out = tmp_path / name
+            assert main(["census", "--input", str(corpus), "--out", str(out), "--jobs", "2"]) == 0
+            return (out / "census.csv").read_bytes(), capsys.readouterr().err
+
+        from_file = census(hostile_corpus, "file")  # first: it forks, so no thread may run
+        assert "warning: 4 malformed line(s)/thread(s) skipped" in from_file[1]
+        fifo = tmp_path / "corpus.fifo"
+        os.mkfifo(fifo)
+        data = hostile_corpus.read_bytes()
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        assert census(fifo, "fifo") == from_file
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+
+    @pytest.mark.parametrize("change", ["truncated", "replaced"])
+    def test_input_changed_after_the_cut_is_input_error(
+        self, tmp_path, monkeypatch, capsys, change
+    ):
+        corpus = write_corpus(tmp_path / "c.jsonl", [filler_thread(f"t{i}") for i in range(6)])
+        monkeypatch.setattr(cli, "BATCH_BYTES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        line_batches = cli._line_batches
+        last = list(line_batches(corpus))[-1]
+
+        def cut_then_change(path):
+            batches = list(line_batches(path))
+            if change == "truncated":  # the last range now reads short
+                os.truncate(path, last[1])
+            else:  # the same bytes in another file
+                copy = tmp_path / "copy.jsonl"
+                copy.write_bytes(path.read_bytes())
+                os.replace(copy, path)
+            yield from batches
+
+        monkeypatch.setattr(cli, "_line_batches", cut_then_change)
+        out = tmp_path / "out"
+        argv = ["census", "--input", str(corpus), "--out", str(out), "--jobs", "2"]
+        assert main(argv) == 1
+        problem = {
+            "truncated": f"changed during the run: read 0 of {last[2]} bytes at offset {last[1]}",
+            "replaced": "was replaced during the run",
+        }[change]
+        assert capsys.readouterr().err == (
+            f"error: {os.path.realpath(corpus)}: the input file {problem}\n"
+        )
+        assert not (out / "census.csv").exists()
 
 
 def run_python(script, *args):
@@ -688,6 +758,31 @@ def test_start_methods_do_not_change_output(tmp_path, method):
     proc = run_python(script, method, corpus, tmp_path / method)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / method / "census.csv").read_bytes() == (
+        tmp_path / "j1" / "census.csv"
+    ).read_bytes()
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="/dev/fd/N names the file itself only on Linux"
+)
+def test_dev_fd_name_of_a_regular_file_gives_the_files_bytes(tmp_path):
+    corpus = write_corpus(tmp_path / "c.jsonl", synth_corpus(24, "focus", 0.5, seed=7))
+    assert main(["census", "--input", str(corpus), "--out", str(tmp_path / "j1"), "--jobs", "1"]) == 0
+    # A spawned worker has no copy of the descriptor, so the workers must
+    # open the file that /dev/fd/N resolves to in the main process.
+    script = (
+        "import multiprocessing, os, sys\n"
+        "from threadmotifs import cli\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "cli.BATCH_BYTES = 2000\n"
+        "fd = os.open(sys.argv[1], os.O_RDONLY)\n"
+        "sys.exit(cli.main(['census', '--input', f'/dev/fd/{fd}', '--out', sys.argv[2],"
+        " '--jobs', '2']))\n"
+    )
+    proc = run_python(script, corpus, tmp_path / "fd")
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "fd" / "census.csv").read_bytes() == (
         tmp_path / "j1" / "census.csv"
     ).read_bytes()
 
@@ -729,6 +824,45 @@ def test_dead_worker_is_input_error(tmp_path):
     assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [
         "error: worker process exited unexpectedly (exit code 3)"
     ]
+    assert not (tmp_path / "out" / "census.csv").exists()
+
+
+# Runs census at --jobs 2, one line per batch. Batch 0's row function waits
+# until batch 3 is drawn, which happens only after batch 2 is queued on the
+# same worker, then exits that worker.
+DYING_WITH_TWO_BATCHES = (
+    "import multiprocessing, os, sys, time\n"
+    "from pathlib import Path\n"
+    "from threadmotifs import cli\n"
+    "multiprocessing.set_start_method('fork')\n"
+    "os.sched_getaffinity = lambda pid: {0, 1}\n"
+    "marker = Path(sys.argv[3])\n"
+    "census_rows, line_batches = cli._census_rows, cli._line_batches\n"
+    "def dying_rows(thread, **kwargs):\n"
+    "    if thread.thread_id == 't0':\n"
+    "        while not marker.exists():\n"
+    "            time.sleep(0.01)\n"
+    "        os._exit(3)\n"
+    "    return census_rows(thread, **kwargs)\n"
+    "def marked_batches(path):\n"
+    "    for batch in line_batches(path):\n"
+    "        if batch[0] == 4:\n"
+    "            marker.touch()\n"
+    "        yield batch\n"
+    "cli._census_rows, cli._line_batches = dying_rows, marked_batches\n"
+    "cli.BATCH_BYTES = 1\n"
+    "sys.exit(cli.main(['census', '--input', sys.argv[1], '--out', sys.argv[2],"
+    " '--jobs', '2']))\n"
+)
+
+
+@needs_fork
+def test_worker_dying_with_two_batches_is_input_error(tmp_path):
+    corpus = write_corpus(tmp_path / "c.jsonl", [filler_thread(f"t{i}") for i in range(8)])
+    proc = run_python(DYING_WITH_TWO_BATCHES, corpus, tmp_path / "out", tmp_path / "marker")
+    assert (proc.returncode, proc.stderr) == (
+        1, "error: worker process exited unexpectedly (exit code 3)\n"
+    )
     assert not (tmp_path / "out" / "census.csv").exists()
 
 

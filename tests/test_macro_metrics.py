@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from threadmotifs.errors import UndefinedMetricError
 from threadmotifs.graphs import UserGraph, build_reply_graph, build_user_graph
 from threadmotifs.macro_metrics import (
+    _op_betweenness_exact,
     branching_factor,
     ecdf,
     lower_median,
@@ -20,6 +24,7 @@ from threadmotifs.macro_metrics import (
 
 from support import (
     betweenness_oracle,
+    betweenness_oracle_exact,
     fig2_thread,
     graph_from_names,
     make_thread,
@@ -92,6 +97,21 @@ class TestReciprocity:
             assert reciprocity(g2) >= reciprocity(g)
 
 
+@st.composite
+def anchored_digraphs(draw):
+    """A digraph on 1 to 8 users whose anchor may lose its in-edges, its
+    out-edges or both."""
+    n = draw(st.integers(1, 8))
+    anchor = draw(st.integers(0, n - 1))
+    pairs = list(itertools.permutations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    drop_in, drop_out = draw(st.booleans()), draw(st.booleans())
+    edges = {
+        (u, v) for u, v in edges if not (drop_in and v == anchor or drop_out and u == anchor)
+    }
+    return UserGraph(tuple(f"u{i}" for i in range(n)), anchor, dict.fromkeys(edges, 0))
+
+
 class TestOpBetweenness:
     def test_two_nodes(self):
         g = graph_from_names(["OP", "A"], "OP", [("A", "OP")])
@@ -130,6 +150,17 @@ class TestOpBetweenness:
         for _ in range(300):
             g = random_user_graph(rng, rng.randint(2, 10), rng.choice([0.1, 0.3, 0.6]))
             assert op_betweenness(g) == betweenness_oracle(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(anchored_digraphs())
+    @example(graph_from_names("OABC", "O", [("O", "A"), ("A", "B"), ("B", "C"), ("O", "C")]))
+    @example(graph_from_names("OABC", "O", [("A", "O"), ("B", "A"), ("C", "B"), ("C", "O")]))
+    @example(graph_from_names("OABC", "O", [("A", "B"), ("B", "C"), ("C", "A")]))
+    def test_exact_sum_matches_oracle(self, g):
+        # The anchor of the three examples has no in-edges, no out-edges, no edges.
+        exact = _op_betweenness_exact(g)
+        assert exact == betweenness_oracle_exact(g)
+        assert op_betweenness(g) == float(exact)
 
 
 class TestBranchingFactor:
