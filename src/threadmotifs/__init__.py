@@ -61,7 +61,7 @@ from .thread_model import (
     PostRecord,
     ThreadRecord,
     filter_corpus,
-    parse_corpus,
+    parse_numbered,
     parse_thread_line,
     thread_lifetime,
     to_json_line,

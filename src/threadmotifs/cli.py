@@ -60,9 +60,6 @@ COMPARE_HEADER = (
 # more than one batch of threads, and a batch is big enough that sending its
 # rows costs little next to parsing it.
 BATCH_BYTES = 64 * 1024
-# Batches a worker holds at once. With a second one queued, a worker starts
-# it as soon as it sends a result, instead of waiting for the main process.
-ITEMS_PER_WORKER = 2
 
 
 def _fmt(value) -> str:
@@ -98,34 +95,39 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _line_batches(path: Path) -> Iterator[tuple[int, int, int, list[bytes]]]:
-    """Cut the corpus into batches of whole lines, ~BATCH_BYTES each.
+def _line_batches(path: Path) -> Iterator[tuple[int, int, bytes]]:
+    r"""Cut the corpus into batches of whole lines, about BATCH_BYTES each.
 
-    Yields (first line number, byte offset, byte count, lines) per batch,
-    the lines without their ends. The byte ranges follow each other with no
-    gap and cover the whole input.
+    Yields (first line number, byte offset, bytes) per batch. The batches
+    follow each other with no gap, join back to the whole input, and each
+    ends where a line ends (at \n, \r\n or a lone \r, as in text mode),
+    except that the last one may end without a line end.
     """
-    first_line, offset, lines, size = 1, 0, [], 0
+    first_line, offset, held = 1, 0, []  # held: blocks of lines not yet ended
     with open(path, "rb") as fh:
-        for chunk in fh:
-            # splitlines() ends lines where text mode would: \n, \r\n or a lone \r,
-            # so a chunk may hold many lines and the size is checked per line.
-            for line in chunk.splitlines(keepends=True):
-                lines.append(line.rstrip(b"\r\n"))
-                size += len(line)
-                if size >= BATCH_BYTES:
-                    yield first_line, offset, size, lines
-                    first_line, offset = first_line + len(lines), offset + size
-                    lines, size = [], 0
-    if lines:
-        yield first_line, offset, size, lines
+        while block := fh.read(BATCH_BYTES):
+            # Cut after the last \n or a lone \r after it, but not after a \r
+            # that ends the block: the next block may begin with its \n.
+            nl = block.rfind(b"\n")
+            cut = max(nl, block.rfind(b"\r", nl + 1, len(block) - 1)) + 1
+            if cut:  # else a line longer than the block: join its blocks once
+                data = b"".join([*held, block[:cut]])
+                yield first_line, offset, data
+                # Without a \r every line ends in \n: count them without a list.
+                first_line += len(data.splitlines()) if b"\r" in data else data.count(b"\n")
+                offset += len(data)
+                held = []
+            held.append(block[cut:])
+    data = b"".join(held)
+    if data:
+        yield first_line, offset, data
 
 
 def _batch_rows(
     row_fn: Callable[[ThreadRecord], list],
     policy: FilterPolicy,
     first_line: int,
-    lines: list[bytes],
+    data: bytes,
 ) -> list:
     """Parse, filter and compute the rows of one batch of lines.
 
@@ -135,7 +137,7 @@ def _batch_rows(
     the filter drops it.
     """
     events: list = []  # errors and (line number, thread) pairs, in input order
-    for numbered in parse_numbered(lines, events.append, first_line):
+    for numbered in parse_numbered(data.splitlines(), events.append, first_line):
         events.append(numbered)
     threads = [e[1] for e in events if isinstance(e, tuple)]
     kept = {id(t) for t in filter_corpus(threads, policy)}
@@ -172,14 +174,14 @@ def _range_rows(
             f"{path}: the input file changed during the run: "
             f"read {len(data)} of {count} bytes at offset {offset}"
         )
-    return _batch_rows(row_fn, policy, first_line, data.splitlines())
+    return _batch_rows(row_fn, policy, first_line, data)
 
 
 def _regular_file(path: Path) -> tuple[str, int, int] | None:
-    """(path, device, inode) of a regular file that workers can open again by
-    name, or None for any other input: a pipe, a FIFO, a terminal."""
+    """(path, device, inode) of a regular file over BATCH_BYTES that workers can
+    open again by name, or None for any other input: a pipe, a FIFO, a terminal."""
     st = os.stat(path)
-    if not stat.S_ISREG(st.st_mode):
+    if not stat.S_ISREG(st.st_mode) or st.st_size <= BATCH_BYTES:
         return None
     # /dev/stdin or /dev/fd/N would name each worker's own descriptor, so the
     # workers open the file that the name resolves to, if it is this one.
@@ -196,125 +198,105 @@ def _thread_rows(
 ) -> Iterator[list]:
     """Yield row_fn's rows, one list per kept thread of ``args.input``, in input order.
 
-    The corpus is cut into line batches. When ``args.jobs`` > 1, the corpus
-    spans more than one batch and ``args.input`` is a regular file, up to
-    ``args.jobs`` worker processes each read their batches' byte ranges from
-    the file and run _batch_rows on them; otherwise the main process runs it
-    on each batch's lines. Problems go to stderr as the batches come back; a
+    When ``args.jobs`` > 1 and ``args.input`` is a regular file over
+    BATCH_BYTES, the whole file is cut into line batches first, and up to
+    ``args.jobs`` worker processes read their byte ranges from the file and
+    run _batch_rows on them; otherwise the main process runs it on each
+    batch as it is cut. Problems go to stderr as the batches come back; a
     thread whose id an earlier valid thread already has is skipped, whatever
     the filter makes of either.
     """
     # Stat the input before the cut opens it: if the name then comes to mean
     # another file, the workers see that, and fail, instead of mixing two.
     corpus = _regular_file(args.input) if args.jobs > 1 else None
-    rest = _line_batches(args.input)
-    head = list(itertools.islice(rest, 2))
-    batches = itertools.chain(head, rest)
+    batches = _line_batches(args.input)
     policy = FilterPolicy(
         args.min_extra_posts, args.drop_deleted_root, args.deleted_sentinel
     )
-    if corpus is None or len(head) < 2:
-        results = (_batch_rows(row_fn, policy, b[0], b[3]) for b in batches)
+    if corpus is None:
+        results = (_batch_rows(row_fn, policy, line, data) for line, _, data in batches)
     else:
-        range_fn = partial(_range_rows, row_fn, policy, corpus)
-        results = _ordered_map(range_fn, (b[:3] for b in batches), args.jobs)
+        ranges = [(line, offset, len(data)) for line, offset, data in batches]
+        results = _ordered_map(partial(_range_rows, row_fn, policy, corpus), ranges, args.jobs)
     yield from _merge_batches(results)
 
 
-def _serve(conn, parent_end, fn: Callable) -> None:
-    """Worker loop: reply to each item the parent sends with (ok, fn(item) or error).
+def _claim(fn: Callable, items: Sequence, claimed, conn, parent_ends: list) -> None:
+    """Worker loop: claim the next item (``claimed`` is the shared index of
+    the next unclaimed one), send back (index, ok, fn(item) or error), and
+    return once every item is claimed.
 
-    Under fork the worker inherits ``parent_end``. It closes that copy, so
-    once the parent is gone, and the workers started after this one (which
-    inherited a copy too), ``recv`` reads EOF and the worker exits instead
-    of waiting forever.
+    Under fork the worker inherits the parent's read ends, its own pipe's
+    included. It closes them, so once the parent is gone a send fails and
+    the worker exits instead of computing the rest.
     """
-    parent_end.close()
-    try:
-        while True:
-            item = conn.recv()
-            try:
-                reply = True, fn(item)
-            except Exception as err:  # the parent re-raises it in input order
-                from multiprocessing.pool import ExceptionWithTraceback
+    for end in parent_ends:
+        end.close()
+    while True:
+        with claimed.get_lock():
+            index = claimed.value
+            claimed.value = index + 1
+        if index >= len(items):
+            return
+        try:
+            reply = index, True, fn(items[index])
+        except Exception as err:  # the parent re-raises it in input order
+            from multiprocessing.pool import ExceptionWithTraceback
 
-                reply = False, ExceptionWithTraceback(err, err.__traceback__)
+            reply = index, False, ExceptionWithTraceback(err, err.__traceback__)
+        try:
             conn.send(reply)
-    except (EOFError, OSError):  # the parent closed its end or is gone
-        return
+        except OSError:  # the parent is gone
+            return
 
 
-def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
+def _ordered_map(fn: Callable, items: Sequence, jobs: int) -> Iterator:
     """Yield fn(item) for each item, in input order, computed in worker processes.
 
-    Each worker holds up to ITEMS_PER_WORKER items, so it starts its next
-    item as soon as it sends a result. An item goes to an idle worker if
-    there is one, else to a new worker while there are fewer than ``jobs``,
-    else to a worker with room; so there are never more workers than
-    ``jobs``, nor than items. Items must be small: the parent sends to busy
-    workers, which may be blocked sending a result, and a few small items
-    always fit in the pipe. A result that comes back before an earlier
-    item's waits in the parent, so a slow item holds up no worker. The
-    parent runs no threads: it sleeps in ``wait`` until a worker replies or
-    dies, and a worker that dies is an error, not a hang.
+    ``min(jobs, len(items))`` workers each claim the next unclaimed item,
+    compute it and send the result back on a pipe of their own; the parent
+    sends them nothing. A result that comes back before an earlier item's
+    waits in the parent, so a slow item holds up no worker. The parent runs
+    no threads: it sleeps in ``wait`` until a worker sends a result or
+    exits. A worker that dies is an error, not a hang.
     """
     import multiprocessing  # here, so serial runs never load multiprocessing
     from multiprocessing.connection import wait
 
-    todo = enumerate(items)
-    workers = {}  # connection -> its worker process
-    held = {}  # connection -> indices of the items its worker holds, oldest first
-    done = {}  # index -> (ok, result) of items finished but not yet yielded
-    yielded = 0
-
-    def died(conn) -> ThreadMotifsError:
-        worker = workers[conn]
-        worker.join()
-        return ThreadMotifsError(
-            f"worker process exited unexpectedly (exit code {worker.exitcode})"
-        )
-
+    claimed = multiprocessing.Value("q", 0)  # index of the next unclaimed item
+    workers = {}  # read end -> its worker process
     try:
-        while True:
-            # Hand out items before yielding, so workers compute while the
-            # caller consumes a result.
-            while True:
-                conn = min(held, key=lambda c: len(held[c]), default=None)
-                if conn is None or held[conn] and len(workers) < jobs:
-                    conn = None  # start a worker for the next item
-                elif len(held[conn]) == ITEMS_PER_WORKER:
-                    break
-                index, item = next(todo, (None, None))
-                if index is None:
-                    break
-                if conn is None:
-                    conn, child_conn = multiprocessing.Pipe()
-                    worker = multiprocessing.Process(
-                        target=_serve, args=(child_conn, conn, fn)
-                    )
-                    worker.start()
-                    # Now only the worker holds its end, so its death reads as EOF.
-                    child_conn.close()
-                    workers[conn], held[conn] = worker, []
-                try:
-                    conn.send(item)
-                except OSError:  # the worker is gone
-                    raise died(conn) from None
-                held[conn].append(index)
-            if yielded in done:
-                ok, result = done.pop(yielded)
-                yielded += 1
-                if not ok:
-                    raise result
-                yield result
-            elif not any(held.values()):
-                return
-            else:
-                for conn in wait([c for c, indices in held.items() if indices]):
+        for _ in range(min(jobs, len(items))):
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            worker = multiprocessing.Process(
+                target=_claim, args=(fn, items, claimed, writer, [*workers, reader])
+            )
+            worker.start()
+            # Now only the worker holds the write end, so its exit reads as EOF.
+            writer.close()
+            workers[reader] = worker
+        running = list(workers)
+        done = {}  # index -> (ok, result) of items finished but not yet yielded
+        for index in range(len(items)):
+            while index not in done:
+                for conn in wait(running):
                     try:
-                        done[held[conn].pop(0)] = conn.recv()
-                    except (EOFError, OSError):
-                        raise died(conn) from None
+                        sent, ok, result = conn.recv()
+                    except (EOFError, OSError):  # the worker exited
+                        worker = workers[conn]
+                        worker.join()
+                        running.remove(conn)
+                        # Exit code 0 is done, unless the last exit leaves items unsent.
+                        if worker.exitcode or (not running and len(done) < len(items) - index):
+                            raise ThreadMotifsError(
+                                f"worker process exited unexpectedly (exit code {worker.exitcode})"
+                            ) from None
+                    else:
+                        done[sent] = ok, result
+            ok, result = done.pop(index)
+            if not ok:
+                raise result
+            yield result
     finally:
         for conn, worker in workers.items():
             conn.close()

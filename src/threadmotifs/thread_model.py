@@ -235,31 +235,19 @@ def parse_thread_line(line: str | bytes, line_no: int = 1) -> ThreadRecord:
     return _index_thread(obj.get("thread_id"), obj.get("source"), obj.get("posts"), line_no)
 
 
-def parse_corpus(
-    lines: Iterable[str | bytes],
-    on_error: Callable[[CorpusParseError | ThreadValidationError], None] | None = None,
-) -> Iterator[ThreadRecord]:
-    """Yield every well-formed thread from a line-delimited corpus dump.
-
-    Lines may be text or bytes; bytes are decoded line by line, so an
-    undecodable line is reported like any other malformed one. Blank lines
-    are skipped. When ``on_error`` is given, each malformed line
-    or invalid thread is reported to it and parsing continues; when it is
-    None the first error is raised.
-    """
-    for _, thread in parse_numbered(lines, on_error):
-        yield thread
-
-
 def parse_numbered(
     lines: Iterable[str | bytes],
     on_error: Callable[[CorpusParseError | ThreadValidationError], None] | None = None,
     first_line: int = 1,
 ) -> Iterator[tuple[int, ThreadRecord]]:
-    """Like ``parse_corpus``, but yield (line number, thread) pairs.
+    """Yield (line number, thread) per well-formed thread of a corpus dump.
 
-    ``lines[0]`` is numbered ``first_line``, so a caller that parses a dump
-    in pieces keeps the dump's line numbers.
+    Lines may be text or bytes; bytes are decoded line by line, so an
+    undecodable line is reported like any other malformed one. Blank lines
+    are skipped. When ``on_error`` is given, each malformed line or invalid
+    thread is reported to it and parsing continues; when it is None the
+    first error is raised. ``lines[0]`` is numbered ``first_line``, so a
+    caller that parses a dump in pieces keeps the dump's line numbers.
     """
     for line_no, line in enumerate(lines, start=first_line):
         if not line.strip():

@@ -250,19 +250,25 @@ class TestCensusCommand:
 
             started = []
 
+            exitcode = 0
+
             def __init__(self, target, args):
-                conn, parent_end, fn = args
-                # A worker process has its own copy of both ends: the parent
-                # closes one after start() and the worker the other.
-                copies = [Connection(os.dup(c.fileno())) for c in (conn, parent_end)]
-                self.thread = threading.Thread(target=target, args=(*copies, fn))
+                fn, items, claimed, conn, parent_ends = args
+                # A worker process has its own copy of every end: the parent
+                # closes the write end after start() and the worker the read ends.
+                conn, *parent_ends = [
+                    Connection(os.dup(c.fileno())) for c in (conn, *parent_ends)
+                ]
+                self.thread = threading.Thread(
+                    target=target, args=(fn, items, claimed, conn, parent_ends)
+                )
 
             def start(self):
                 self.started.append(self)
                 self.thread.start()
 
             def terminate(self):
-                pass  # the thread ends when the parent closes its end
+                pass  # the thread ends once every batch is claimed
 
             def join(self):
                 self.thread.join(timeout=30)
@@ -275,7 +281,7 @@ class TestCensusCommand:
         )
         args = ["census", "--input", str(corpus), "--jobs", "5000"]
         assert main([*args, "--out", str(tmp_path / "one")]) == 0
-        assert ThreadWorker.started == []  # a single batch runs serially
+        assert ThreadWorker.started == []  # a file of one batch runs serially
         monkeypatch.setattr(cli, "BATCH_BYTES", 1)
         assert main([*args, "--out", str(tmp_path / "many")]) == 0
         assert len(ThreadWorker.started) == 3
@@ -654,11 +660,11 @@ class TestBatchPath:
         batches = list(cli._line_batches(corpus))
         assert len(batches) > 1
         assert [b[0] for b in batches] == list(
-            itertools.accumulate([1] + [len(b[3]) for b in batches[:-1]])
+            itertools.accumulate([1] + [len(b[2].splitlines()) for b in batches[:-1]])
         )
         data = corpus.read_bytes()
-        for _, offset, count, lines in batches:  # a worker reads these lines
-            assert data[offset : offset + count].splitlines() == lines
+        for _, offset, chunk in batches:  # a worker reads these bytes
+            assert data[offset : offset + len(chunk)] == chunk
         for jobs in ("1", "2"):
             assert self.run_all(tmp_path, corpus, f"j{jobs}", jobs, capsys) == whole
 
@@ -667,11 +673,35 @@ class TestBatchPath:
         monkeypatch.setattr(cli, "BATCH_BYTES", batch_bytes)
         batches = list(cli._line_batches(hostile_corpus))
         assert len(batches) > 4
-        ends = list(itertools.accumulate(count for _, _, count, _ in batches))
-        assert [offset for _, offset, _, _ in batches] == [0, *ends[:-1]]
+        ends = list(itertools.accumulate(len(chunk) for _, _, chunk in batches))
+        assert [offset for _, offset, _ in batches] == [0, *ends[:-1]]
         assert ends[-1] == hostile_corpus.stat().st_size
         data = hostile_corpus.read_bytes()
-        assert [line for b in batches for line in b[3]] == data.splitlines()
+        assert [line for b in batches for line in b[2].splitlines()] == data.splitlines()
+
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        data=st.lists(st.sampled_from([b"a", b"b", b"\r", b"\n"]), max_size=200).map(b"".join),
+        batch_bytes=st.integers(1, 64),
+    )
+    @example(data=b"a" * 200 + b"\nb\n", batch_bytes=64)  # a line over three blocks
+    @example(data=b"ab\r\ncd\n", batch_bytes=3)  # a \r\n split across two blocks
+    def test_batches_are_whole_lines_of_the_file(self, tmp_path, monkeypatch, data, batch_bytes):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_bytes(data)
+        monkeypatch.setattr(cli, "BATCH_BYTES", batch_bytes)
+        batches = list(cli._line_batches(corpus))
+        assert b"".join(chunk for _, _, chunk in batches) == data
+        ends = list(itertools.accumulate(len(chunk) for _, _, chunk in batches))
+        assert [offset for _, offset, _ in batches] == [0, *ends][:-1]
+        assert [line for line, _, _ in batches] == [
+            1 + len(data[:offset].splitlines()) for _, offset, _ in batches
+        ]
+        assert [line for b in batches for line in b[2].splitlines()] == data.splitlines()
+        assert all(chunk for _, _, chunk in batches)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo on this platform")
     def test_fifo_input_gives_the_regular_files_bytes(
@@ -721,7 +751,7 @@ class TestBatchPath:
         argv = ["census", "--input", str(corpus), "--out", str(out), "--jobs", "2"]
         assert main(argv) == 1
         problem = {
-            "truncated": f"changed during the run: read 0 of {last[2]} bytes at offset {last[1]}",
+            "truncated": f"changed during the run: read 0 of {len(last[2])} bytes at offset {last[1]}",
             "replaced": "was replaced during the run",
         }[change]
         assert capsys.readouterr().err == (
@@ -789,7 +819,9 @@ def test_dev_fd_name_of_a_regular_file_gives_the_files_bytes(tmp_path):
 
 # Runs census with a row function that, on thread t3, exits its process
 # (argv[1] == "exit"), kills the main process ("kill") or raises ("raise").
-# Fork carries the patch into the workers.
+# After the kill, t3's rows are more than a pipe holds, so only a send that
+# fails once the main process is gone lets that worker exit. Fork carries the
+# patch into the workers.
 FAULTY_CENSUS = (
     "import multiprocessing, os, signal, sys\n"
     "from threadmotifs import cli\n"
@@ -802,6 +834,7 @@ FAULTY_CENSUS = (
     "            os._exit(3)\n"
     "        if sys.argv[1] == 'kill':\n"
     "            os.kill(os.getppid(), signal.SIGKILL)\n"
+    "            return [['x' * 2**20]]\n"
     "        else:\n"
     "            raise ThreadMotifsError('row function failed on t3')\n"
     "    return census_rows(thread, **kwargs)\n"
@@ -827,29 +860,26 @@ def test_dead_worker_is_input_error(tmp_path):
     assert not (tmp_path / "out" / "census.csv").exists()
 
 
-# Runs census at --jobs 2, one line per batch. Batch 0's row function waits
-# until batch 3 is drawn, which happens only after batch 2 is queued on the
-# same worker, then exits that worker.
-DYING_WITH_TWO_BATCHES = (
+# Runs census at --jobs 2, one line per batch. The worker that claims batch 0
+# waits until the other worker computes t3, and so has claimed batches 1 to 3,
+# then exits.
+DYING_WHILE_THE_OTHER_CLAIMS = (
     "import multiprocessing, os, sys, time\n"
     "from pathlib import Path\n"
     "from threadmotifs import cli\n"
     "multiprocessing.set_start_method('fork')\n"
     "os.sched_getaffinity = lambda pid: {0, 1}\n"
     "marker = Path(sys.argv[3])\n"
-    "census_rows, line_batches = cli._census_rows, cli._line_batches\n"
+    "census_rows = cli._census_rows\n"
     "def dying_rows(thread, **kwargs):\n"
     "    if thread.thread_id == 't0':\n"
     "        while not marker.exists():\n"
     "            time.sleep(0.01)\n"
     "        os._exit(3)\n"
+    "    if thread.thread_id == 't3':\n"
+    "        marker.touch()\n"
     "    return census_rows(thread, **kwargs)\n"
-    "def marked_batches(path):\n"
-    "    for batch in line_batches(path):\n"
-    "        if batch[0] == 4:\n"
-    "            marker.touch()\n"
-    "        yield batch\n"
-    "cli._census_rows, cli._line_batches = dying_rows, marked_batches\n"
+    "cli._census_rows = dying_rows\n"
     "cli.BATCH_BYTES = 1\n"
     "sys.exit(cli.main(['census', '--input', sys.argv[1], '--out', sys.argv[2],"
     " '--jobs', '2']))\n"
@@ -857,13 +887,60 @@ DYING_WITH_TWO_BATCHES = (
 
 
 @needs_fork
-def test_worker_dying_with_two_batches_is_input_error(tmp_path):
+def test_worker_dying_while_the_other_claims_is_input_error(tmp_path):
     corpus = write_corpus(tmp_path / "c.jsonl", [filler_thread(f"t{i}") for i in range(8)])
-    proc = run_python(DYING_WITH_TWO_BATCHES, corpus, tmp_path / "out", tmp_path / "marker")
+    proc = run_python(DYING_WHILE_THE_OTHER_CLAIMS, corpus, tmp_path / "out", tmp_path / "marker")
     assert (proc.returncode, proc.stderr) == (
         1, "error: worker process exited unexpectedly (exit code 3)\n"
     )
     assert not (tmp_path / "out" / "census.csv").exists()
+
+
+# Runs census at --jobs 2, one line per batch. A worker that runs out of
+# batches writes its pid to the marker file as it exits. The worker that
+# claims batch 0 computes it only once the other worker has exited and the
+# main process has reaped it (or after 30 s).
+SLOW_FIRST_BATCH = (
+    "import multiprocessing, os, sys, time\n"
+    "from pathlib import Path\n"
+    "from threadmotifs import cli\n"
+    "multiprocessing.set_start_method('fork')\n"
+    "os.sched_getaffinity = lambda pid: {0, 1}\n"
+    "marker = Path(sys.argv[3])\n"
+    "census_rows, claim = cli._census_rows, cli._claim\n"
+    "def slow_rows(thread, **kwargs):\n"
+    "    if thread.thread_id == 't0':\n"
+    "        deadline = time.monotonic() + 30\n"
+    "        while not marker.exists() and time.monotonic() < deadline:\n"
+    "            time.sleep(0.01)\n"
+    "        pid = int(marker.read_text())\n"
+    "        while time.monotonic() < deadline:\n"
+    "            try:\n"
+    "                os.kill(pid, 0)\n"
+    "            except ProcessLookupError:\n"
+    "                break\n"
+    "            time.sleep(0.01)\n"
+    "    return census_rows(thread, **kwargs)\n"
+    "def claim_then_mark(*args):\n"
+    "    claim(*args)\n"
+    "    Path(f'{marker}.tmp').write_text(str(os.getpid()))\n"
+    "    os.replace(f'{marker}.tmp', marker)\n"
+    "cli._census_rows, cli._claim = slow_rows, claim_then_mark\n"
+    "cli.BATCH_BYTES = 1\n"
+    "sys.exit(cli.main(['census', '--input', sys.argv[1], '--out', sys.argv[2],"
+    " '--jobs', '2']))\n"
+)
+
+
+@needs_fork
+def test_worker_done_before_a_slow_first_batch_is_no_error(tmp_path, capsys):
+    corpus = write_corpus(tmp_path / "c.jsonl", [filler_thread(f"t{i}") for i in range(8)])
+    assert main(["census", "--input", str(corpus), "--out", str(tmp_path / "j1"), "--jobs", "1"]) == 0
+    proc = run_python(SLOW_FIRST_BATCH, corpus, tmp_path / "j2", tmp_path / "marker")
+    assert (proc.returncode, proc.stderr) == (0, capsys.readouterr().err)
+    assert (tmp_path / "j2" / "census.csv").read_bytes() == (
+        tmp_path / "j1" / "census.csv"
+    ).read_bytes()
 
 
 @needs_fork

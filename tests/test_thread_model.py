@@ -16,7 +16,6 @@ from threadmotifs.thread_model import (
     PostRecord,
     ThreadRecord,
     filter_corpus,
-    parse_corpus,
     parse_numbered,
     parse_thread_line,
     thread_lifetime,
@@ -37,10 +36,10 @@ def thread_json(thread_id="t", source="focus", posts=None) -> str:
 
 class TestParse:
     def test_minimal_two_post_thread(self):
-        threads = list(parse_corpus([thread_json()]))
-        assert len(threads) == 1
-        assert threads[0].n_posts == 2
-        t = threads[0]
+        numbered = list(parse_numbered([thread_json()]))
+        assert [n for n, _ in numbered] == [1]
+        t = numbered[0][1]
+        assert t.n_posts == 2
         assert t.post_ids[t.root] == "p0"
 
     def test_orphan_parent_names_thread(self):
@@ -62,8 +61,8 @@ class TestParse:
             thread_json(thread_id="t3"),
         ]
         errors = []
-        threads = list(parse_corpus(lines, on_error=errors.append))
-        assert [t.thread_id for t in threads] == ["t1", "t3"]
+        numbered = list(parse_numbered(lines, on_error=errors.append))
+        assert [(n, t.thread_id) for n, t in numbered] == [(1, "t1"), (3, "t3")]
         assert len(errors) == 1
         assert errors[0].line_no == 2
 
@@ -76,7 +75,7 @@ class TestParse:
 
     def test_malformed_line_raises_with_line_number(self):
         with pytest.raises(CorpusParseError) as exc:
-            list(parse_corpus([thread_json(), "[]"]))
+            list(parse_numbered([thread_json(), "[]"]))
         assert exc.value.line_no == 2
 
     def test_duplicate_post_id_rejected(self):
@@ -156,13 +155,13 @@ class TestParse:
             assert str(info.value) == reason
 
     def test_blank_lines_skipped(self):
-        threads = list(parse_corpus(["", thread_json(), "   \n"]))
-        assert len(threads) == 1
+        numbered = list(parse_numbered(["", thread_json(), "   \n"]))
+        assert [n for n, _ in numbered] == [2]
 
     def test_round_trip(self):
         originals = synth_corpus(20, "focus", reply_back_prob=0.4, seed=7)
         lines = [to_json_line(t) for t in originals]
-        reparsed = list(parse_corpus(lines))
+        reparsed = [t for _, t in parse_numbered(lines)]
         assert reparsed == originals
 
 
