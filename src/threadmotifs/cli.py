@@ -15,7 +15,6 @@ import csv
 import itertools
 import math
 import os
-import stat
 import sys
 from collections import Counter
 from functools import partial
@@ -95,15 +94,15 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _line_batches(path: Path) -> Iterator[tuple[int, int, bytes]]:
+def _line_batches(path: Path) -> Iterator[tuple[int, bytes]]:
     r"""Cut the corpus into batches of whole lines, about BATCH_BYTES each.
 
-    Yields (first line number, byte offset, bytes) per batch. The batches
-    follow each other with no gap, join back to the whole input, and each
-    ends where a line ends (at \n, \r\n or a lone \r, as in text mode),
-    except that the last one may end without a line end.
+    Yields (first line number, bytes) per batch. The batches follow each
+    other with no gap, join back to the whole input, and each ends where a
+    line ends (at \n, \r\n or a lone \r, as in text mode), except that the
+    last one may end without a line end.
     """
-    first_line, offset, held = 1, 0, []  # held: blocks of lines not yet ended
+    first_line, held = 1, []  # held: blocks of lines not yet ended
     with open(path, "rb") as fh:
         while block := fh.read(BATCH_BYTES):
             # Cut after the last \n or a lone \r after it, but not after a \r
@@ -112,15 +111,14 @@ def _line_batches(path: Path) -> Iterator[tuple[int, int, bytes]]:
             cut = max(nl, block.rfind(b"\r", nl + 1, len(block) - 1)) + 1
             if cut:  # else a line longer than the block: join its blocks once
                 data = b"".join([*held, block[:cut]])
-                yield first_line, offset, data
+                yield first_line, data
                 # Without a \r every line ends in \n: count them without a list.
                 first_line += len(data.splitlines()) if b"\r" in data else data.count(b"\n")
-                offset += len(data)
                 held = []
             held.append(block[cut:])
     data = b"".join(held)
     if data:
-        yield first_line, offset, data
+        yield first_line, data
 
 
 def _batch_rows(
@@ -149,154 +147,122 @@ def _batch_rows(
     ]
 
 
-def _range_rows(
-    row_fn: Callable[[ThreadRecord], list],
-    policy: FilterPolicy,
-    corpus: tuple[str, int, int],
-    batch: tuple[int, int, int],
-) -> list:
-    """_batch_rows of a (first line number, byte offset, byte count) range.
-
-    A worker reads the range from the corpus file itself, which ``corpus``
-    names as (path, device, inode). A file that is no longer the one that
-    was cut, or that ends before the range does, is an input error.
-    """
-    path, device, inode = corpus
-    first_line, offset, count = batch
-    with open(path, "rb") as fh:
-        st = os.fstat(fh.fileno())
-        fh.seek(offset)
-        data = fh.read(count)
-    if (st.st_dev, st.st_ino) != (device, inode):
-        raise ThreadMotifsError(f"{path}: the input file was replaced during the run")
-    if len(data) != count:
-        raise ThreadMotifsError(
-            f"{path}: the input file changed during the run: "
-            f"read {len(data)} of {count} bytes at offset {offset}"
-        )
-    return _batch_rows(row_fn, policy, first_line, data)
-
-
-def _regular_file(path: Path) -> tuple[str, int, int] | None:
-    """(path, device, inode) of a regular file over BATCH_BYTES that workers can
-    open again by name, or None for any other input: a pipe, a FIFO, a terminal."""
-    st = os.stat(path)
-    if not stat.S_ISREG(st.st_mode) or st.st_size <= BATCH_BYTES:
-        return None
-    # /dev/stdin or /dev/fd/N would name each worker's own descriptor, so the
-    # workers open the file that the name resolves to, if it is this one.
-    real = os.path.realpath(path)
-    try:
-        same = os.path.samestat(st, os.stat(real))
-    except OSError:  # the name resolves to nothing, as for a deleted file
-        return None
-    return (real, st.st_dev, st.st_ino) if same else None
-
-
 def _thread_rows(
     args: Namespace, row_fn: Callable[[ThreadRecord], list]
 ) -> Iterator[list]:
     """Yield row_fn's rows, one list per kept thread of ``args.input``, in input order.
 
-    When ``args.jobs`` > 1 and ``args.input`` is a regular file over
-    BATCH_BYTES, the whole file is cut into line batches first, and up to
-    ``args.jobs`` worker processes read their byte ranges from the file and
-    run _batch_rows on them; otherwise the main process runs it on each
-    batch as it is cut. Problems go to stderr as the batches come back; a
+    The main process cuts the input into line batches as it reads it. When
+    ``args.jobs`` > 1 and the input gives at least two batches, up to
+    ``args.jobs`` worker processes run _batch_rows on them; otherwise the
+    main process does. Problems go to stderr as the batches come back; a
     thread whose id an earlier valid thread already has is skipped, whatever
     the filter makes of either.
     """
-    # Stat the input before the cut opens it: if the name then comes to mean
-    # another file, the workers see that, and fail, instead of mixing two.
-    corpus = _regular_file(args.input) if args.jobs > 1 else None
-    batches = _line_batches(args.input)
     policy = FilterPolicy(
         args.min_extra_posts, args.drop_deleted_root, args.deleted_sentinel
     )
-    if corpus is None:
-        results = (_batch_rows(row_fn, policy, line, data) for line, _, data in batches)
+    batch_rows = partial(_batch_rows, row_fn, policy)
+    batches = _line_batches(args.input)
+    head = list(itertools.islice(batches, 2))  # one batch is not worth a worker
+    batches = itertools.chain(head, batches)
+    if args.jobs > 1 and len(head) > 1:
+        results = _ordered_map(batch_rows, batches, args.jobs)
     else:
-        ranges = [(line, offset, len(data)) for line, offset, data in batches]
-        results = _ordered_map(partial(_range_rows, row_fn, policy, corpus), ranges, args.jobs)
+        results = itertools.starmap(batch_rows, batches)
     yield from _merge_batches(results)
 
 
-def _claim(fn: Callable, items: Sequence, claimed, conn, parent_ends: list) -> None:
-    """Worker loop: claim the next item (``claimed`` is the shared index of
-    the next unclaimed one), send back (index, ok, fn(item) or error), and
-    return once every item is claimed.
+def _serve(fn: Callable, conn, parent_ends: list) -> None:
+    """Worker loop: reply to each item the parent sends with (ok, fn(*item) or error).
 
-    Under fork the worker inherits the parent's read ends, its own pipe's
-    included. It closes them, so once the parent is gone a send fails and
-    the worker exits instead of computing the rest.
+    Under fork the worker inherits the parent's end of every worker's pipe,
+    its own included. It closes them, so once the parent is gone ``recv``
+    reads EOF, or ``send`` fails, and the worker exits instead of waiting
+    forever.
     """
     for end in parent_ends:
         end.close()
-    while True:
-        with claimed.get_lock():
-            index = claimed.value
-            claimed.value = index + 1
-        if index >= len(items):
-            return
-        try:
-            reply = index, True, fn(items[index])
-        except Exception as err:  # the parent re-raises it in input order
-            from multiprocessing.pool import ExceptionWithTraceback
+    try:
+        while True:
+            item = conn.recv()
+            try:
+                reply = True, fn(*item)
+            except Exception as err:  # the parent re-raises it in input order
+                from multiprocessing.pool import ExceptionWithTraceback
 
-            reply = index, False, ExceptionWithTraceback(err, err.__traceback__)
-        try:
+                reply = False, ExceptionWithTraceback(err, err.__traceback__)
             conn.send(reply)
-        except OSError:  # the parent is gone
-            return
+    except (EOFError, OSError):  # the parent closed its end or is gone
+        return
 
 
-def _ordered_map(fn: Callable, items: Sequence, jobs: int) -> Iterator:
-    """Yield fn(item) for each item, in input order, computed in worker processes.
+def _exited(worker) -> ThreadMotifsError:
+    """The error for a worker process that is gone before the run is done."""
+    worker.join()
+    return ThreadMotifsError(f"worker process exited unexpectedly (exit code {worker.exitcode})")
 
-    ``min(jobs, len(items))`` workers each claim the next unclaimed item,
-    compute it and send the result back on a pipe of their own; the parent
-    sends them nothing. A result that comes back before an earlier item's
-    waits in the parent, so a slow item holds up no worker. The parent runs
-    no threads: it sleeps in ``wait`` until a worker sends a result or
-    exits. A worker that dies is an error, not a hang.
+
+def _ordered_map(fn: Callable, items: Iterable[tuple], jobs: int) -> Iterator:
+    """Yield fn(*item) for each item, in input order, computed in worker processes.
+
+    The parent sends each item to an idle worker, over that worker's own
+    pipe, and starts a worker only when none is idle and fewer than ``jobs``
+    run. Each worker holds one item at a time and the parent sends only to
+    an idle one, so no item or result size can fill both ends of a pipe. A
+    result that comes back before an earlier item's waits in the parent, so
+    a slow item holds up no worker. The parent runs no threads: it sleeps in
+    ``wait`` until a worker replies or exits, and a worker that exits is an
+    error, not a hang.
     """
     import multiprocessing  # here, so serial runs never load multiprocessing
     from multiprocessing.connection import wait
 
-    claimed = multiprocessing.Value("q", 0)  # index of the next unclaimed item
-    workers = {}  # read end -> its worker process
+    todo = enumerate(items)
+    workers = {}  # parent end -> its worker process
+    idle = []  # parent ends of the workers that hold no item
+    held = {}  # parent end -> index of the item its worker holds
+    done = {}  # index -> (ok, result) of items finished but not yet yielded
+    yielded = 0
     try:
-        for _ in range(min(jobs, len(items))):
-            reader, writer = multiprocessing.Pipe(duplex=False)
-            worker = multiprocessing.Process(
-                target=_claim, args=(fn, items, claimed, writer, [*workers, reader])
-            )
-            worker.start()
-            # Now only the worker holds the write end, so its exit reads as EOF.
-            writer.close()
-            workers[reader] = worker
-        running = list(workers)
-        done = {}  # index -> (ok, result) of items finished but not yet yielded
-        for index in range(len(items)):
-            while index not in done:
-                for conn in wait(running):
+        while True:
+            # Send items out before yielding, so workers compute while the
+            # caller consumes a result.
+            while idle or len(workers) < jobs:
+                index, item = next(todo, (None, None))
+                if index is None:
+                    break
+                if not idle:
+                    conn, child_end = multiprocessing.Pipe()
+                    worker = multiprocessing.Process(
+                        target=_serve, args=(fn, child_end, [*workers, conn])
+                    )
+                    worker.start()
+                    # Now only the worker holds its end, so its exit reads as EOF.
+                    child_end.close()
+                    workers[conn] = worker
+                    idle.append(conn)
+                conn = idle.pop()
+                try:
+                    conn.send(item)
+                except OSError:  # the worker is gone
+                    raise _exited(workers[conn]) from None
+                held[conn] = index
+            if yielded in done:
+                ok, result = done.pop(yielded)
+                yielded += 1
+                if not ok:
+                    raise result
+                yield result
+            elif not held:
+                return
+            else:
+                for conn in wait(list(held)):
                     try:
-                        sent, ok, result = conn.recv()
-                    except (EOFError, OSError):  # the worker exited
-                        worker = workers[conn]
-                        worker.join()
-                        running.remove(conn)
-                        # Exit code 0 is done, unless the last exit leaves items unsent.
-                        if worker.exitcode or (not running and len(done) < len(items) - index):
-                            raise ThreadMotifsError(
-                                f"worker process exited unexpectedly (exit code {worker.exitcode})"
-                            ) from None
-                    else:
-                        done[sent] = ok, result
-            ok, result = done.pop(index)
-            if not ok:
-                raise result
-            yield result
+                        done[held.pop(conn)] = conn.recv()
+                    except (EOFError, OSError):  # the worker is gone
+                        raise _exited(workers[conn]) from None
+                    idle.append(conn)
     finally:
         for conn, worker in workers.items():
             conn.close()

@@ -141,9 +141,6 @@ class ClassTable(NamedTuple):
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.classes)
 
-    def index_of(self, config: TriadConfig) -> int:
-        return self.config_index[config]
-
     def class_of(self, config: TriadConfig) -> AnchoredTriadClass:
         return self.classes[self.config_index[config]]
 
@@ -177,7 +174,7 @@ def build_class_table() -> ClassTable:
         by_base[base_type_name(members[0])].append(members)
 
     classes: list[AnchoredTriadClass] = []
-    index_of: dict[TriadConfig, int] = {}
+    config_index: dict[TriadConfig, int] = {}
     name_index: dict[str, int] = {}
     for base in BASE_TYPES:
         group = sorted(by_base[base], key=lambda mem: _config_key(mem[0]))
@@ -214,9 +211,9 @@ def build_class_table() -> ClassTable:
             )
             name_index[name] = cls.index
             for member in members:
-                index_of[member] = cls.index
+                config_index[member] = cls.index
             classes.append(cls)
-    return ClassTable(tuple(classes), index_of, name_index)
+    return ClassTable(tuple(classes), config_index, name_index)
 
 
 @lru_cache(maxsize=1)
@@ -263,7 +260,7 @@ def census_naive(g: UserGraph, table: ClassTable) -> MotifCensus:
     others = [u for u in range(g.n_users) if u != anchor]
     for v, w in itertools.combinations(others, 2):
         config = (dyad_code(g, anchor, v), dyad_code(g, anchor, w), dyad_code(g, v, w))
-        counts[table.index_of(config)] += 1
+        counts[table.config_index[config]] += 1
     return MotifCensus(tuple(counts), g.n_users)
 
 

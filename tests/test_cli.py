@@ -244,31 +244,29 @@ class TestCensusCommand:
         assert "warning: skipped line 3: duplicate thread_id 't1' (first on line 1)" in err
         assert "warning: 1 malformed line(s)/thread(s) skipped" in err
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo on this platform")
     def test_workers_capped_at_usable_processors(self, tmp_path, monkeypatch):
         class ThreadWorker:
             """Stands in for multiprocessing.Process: serves batches on a thread."""
 
             started = []
 
-            exitcode = 0
-
             def __init__(self, target, args):
-                fn, items, claimed, conn, parent_ends = args
+                fn, conn, parent_ends = args
                 # A worker process has its own copy of every end: the parent
-                # closes the write end after start() and the worker the read ends.
+                # closes the worker's end after start() and the worker the
+                # parent's ends.
                 conn, *parent_ends = [
                     Connection(os.dup(c.fileno())) for c in (conn, *parent_ends)
                 ]
-                self.thread = threading.Thread(
-                    target=target, args=(fn, items, claimed, conn, parent_ends)
-                )
+                self.thread = threading.Thread(target=target, args=(fn, conn, parent_ends))
 
             def start(self):
                 self.started.append(self)
                 self.thread.start()
 
             def terminate(self):
-                pass  # the thread ends once every batch is claimed
+                pass  # the thread ends once the parent closes its end
 
             def join(self):
                 self.thread.join(timeout=30)
@@ -293,6 +291,18 @@ class TestCensusCommand:
         assert main(["census", "--input", str(two), "--out", str(tmp_path / "two"), "--jobs", "3"]) == 0
         assert len(ThreadWorker.started) == 2  # never more workers than batches
         assert len(read_rows(tmp_path / "two" / "census.csv")) == 3
+        ThreadWorker.started.clear()
+        fifo = tmp_path / "c.fifo"  # a FIFO of several batches takes the same path
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(corpus.read_bytes(),))
+        writer.start()
+        assert main(["census", "--input", str(fifo), "--out", str(tmp_path / "fifo"), "--jobs", "2"]) == 0
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert len(ThreadWorker.started) == 2
+        assert (tmp_path / "fifo" / "census.csv").read_bytes() == (
+            tmp_path / "one" / "census.csv"
+        ).read_bytes()
 
     def test_negative_jobs_is_config_error(self, tmp_path, fixture_corpus, capsys):
         code = main(
@@ -660,11 +670,9 @@ class TestBatchPath:
         batches = list(cli._line_batches(corpus))
         assert len(batches) > 1
         assert [b[0] for b in batches] == list(
-            itertools.accumulate([1] + [len(b[2].splitlines()) for b in batches[:-1]])
+            itertools.accumulate([1] + [len(b[1].splitlines()) for b in batches[:-1]])
         )
-        data = corpus.read_bytes()
-        for _, offset, chunk in batches:  # a worker reads these bytes
-            assert data[offset : offset + len(chunk)] == chunk
+        assert b"".join(chunk for _, chunk in batches) == corpus.read_bytes()
         for jobs in ("1", "2"):
             assert self.run_all(tmp_path, corpus, f"j{jobs}", jobs, capsys) == whole
 
@@ -673,11 +681,9 @@ class TestBatchPath:
         monkeypatch.setattr(cli, "BATCH_BYTES", batch_bytes)
         batches = list(cli._line_batches(hostile_corpus))
         assert len(batches) > 4
-        ends = list(itertools.accumulate(len(chunk) for _, _, chunk in batches))
-        assert [offset for _, offset, _ in batches] == [0, *ends[:-1]]
-        assert ends[-1] == hostile_corpus.stat().st_size
         data = hostile_corpus.read_bytes()
-        assert [line for b in batches for line in b[2].splitlines()] == data.splitlines()
+        assert b"".join(chunk for _, chunk in batches) == data
+        assert [line for b in batches for line in b[1].splitlines()] == data.splitlines()
 
     @settings(
         max_examples=300, deadline=None,
@@ -694,14 +700,13 @@ class TestBatchPath:
         corpus.write_bytes(data)
         monkeypatch.setattr(cli, "BATCH_BYTES", batch_bytes)
         batches = list(cli._line_batches(corpus))
-        assert b"".join(chunk for _, _, chunk in batches) == data
-        ends = list(itertools.accumulate(len(chunk) for _, _, chunk in batches))
-        assert [offset for _, offset, _ in batches] == [0, *ends][:-1]
-        assert [line for line, _, _ in batches] == [
-            1 + len(data[:offset].splitlines()) for _, offset, _ in batches
+        assert b"".join(chunk for _, chunk in batches) == data
+        ends = itertools.accumulate(len(chunk) for _, chunk in batches)
+        assert [line for line, _ in batches] == [
+            1 + len(data[:offset].splitlines()) for offset in [0, *ends][:-1]
         ]
-        assert [line for b in batches for line in b[2].splitlines()] == data.splitlines()
-        assert all(chunk for _, _, chunk in batches)
+        assert [line for b in batches for line in b[1].splitlines()] == data.splitlines()
+        assert all(chunk for _, chunk in batches)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo on this platform")
     def test_fifo_input_gives_the_regular_files_bytes(
@@ -715,49 +720,21 @@ class TestBatchPath:
             assert main(["census", "--input", str(corpus), "--out", str(out), "--jobs", "2"]) == 0
             return (out / "census.csv").read_bytes(), capsys.readouterr().err
 
-        from_file = census(hostile_corpus, "file")  # first: it forks, so no thread may run
+        from_file = census(hostile_corpus, "file")
         assert "warning: 4 malformed line(s)/thread(s) skipped" in from_file[1]
         fifo = tmp_path / "corpus.fifo"
         os.mkfifo(fifo)
-        data = hostile_corpus.read_bytes()
-        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
-        writer.start()
-        assert census(fifo, "fifo") == from_file
-        writer.join(timeout=30)
-        assert not writer.is_alive()
-
-    @pytest.mark.parametrize("change", ["truncated", "replaced"])
-    def test_input_changed_after_the_cut_is_input_error(
-        self, tmp_path, monkeypatch, capsys, change
-    ):
-        corpus = write_corpus(tmp_path / "c.jsonl", [filler_thread(f"t{i}") for i in range(6)])
-        monkeypatch.setattr(cli, "BATCH_BYTES", 1)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        line_batches = cli._line_batches
-        last = list(line_batches(corpus))[-1]
-
-        def cut_then_change(path):
-            batches = list(line_batches(path))
-            if change == "truncated":  # the last range now reads short
-                os.truncate(path, last[1])
-            else:  # the same bytes in another file
-                copy = tmp_path / "copy.jsonl"
-                copy.write_bytes(path.read_bytes())
-                os.replace(copy, path)
-            yield from batches
-
-        monkeypatch.setattr(cli, "_line_batches", cut_then_change)
-        out = tmp_path / "out"
-        argv = ["census", "--input", str(corpus), "--out", str(out), "--jobs", "2"]
-        assert main(argv) == 1
-        problem = {
-            "truncated": f"changed during the run: read 0 of {len(last[2])} bytes at offset {last[1]}",
-            "replaced": "was replaced during the run",
-        }[change]
-        assert capsys.readouterr().err == (
-            f"error: {os.path.realpath(corpus)}: the input file {problem}\n"
+        # The run forks workers, so the FIFO's writer is a process, not a thread.
+        copy = (
+            "import sys\n"
+            "with open(sys.argv[1], 'rb') as src, open(sys.argv[2], 'wb') as dst:\n"
+            "    dst.write(src.read())\n"
         )
-        assert not (out / "census.csv").exists()
+        writer = subprocess.Popen([sys.executable, "-c", copy, str(hostile_corpus), str(fifo)])
+        try:
+            assert census(fifo, "fifo") == from_file
+        finally:
+            assert writer.wait(timeout=30) == 0
 
 
 def run_python(script, *args):
@@ -798,8 +775,8 @@ def test_start_methods_do_not_change_output(tmp_path, method):
 def test_dev_fd_name_of_a_regular_file_gives_the_files_bytes(tmp_path):
     corpus = write_corpus(tmp_path / "c.jsonl", synth_corpus(24, "focus", 0.5, seed=7))
     assert main(["census", "--input", str(corpus), "--out", str(tmp_path / "j1"), "--jobs", "1"]) == 0
-    # A spawned worker has no copy of the descriptor, so the workers must
-    # open the file that /dev/fd/N resolves to in the main process.
+    # A spawned worker has no copy of the descriptor: the main process reads
+    # the file and sends its workers the bytes.
     script = (
         "import multiprocessing, os, sys\n"
         "from threadmotifs import cli\n"
@@ -860,10 +837,9 @@ def test_dead_worker_is_input_error(tmp_path):
     assert not (tmp_path / "out" / "census.csv").exists()
 
 
-# Runs census at --jobs 2, one line per batch. The worker that claims batch 0
-# waits until the other worker computes t3, and so has claimed batches 1 to 3,
-# then exits.
-DYING_WHILE_THE_OTHER_CLAIMS = (
+# Runs census at --jobs 2, one line per batch. The worker that holds batch 0
+# waits until the other worker computes t3, then exits.
+DYING_WHILE_THE_OTHER_COMPUTES = (
     "import multiprocessing, os, sys, time\n"
     "from pathlib import Path\n"
     "from threadmotifs import cli\n"
@@ -887,45 +863,76 @@ DYING_WHILE_THE_OTHER_CLAIMS = (
 
 
 @needs_fork
-def test_worker_dying_while_the_other_claims_is_input_error(tmp_path):
+def test_worker_dying_while_the_other_computes_is_input_error(tmp_path):
     corpus = write_corpus(tmp_path / "c.jsonl", [filler_thread(f"t{i}") for i in range(8)])
-    proc = run_python(DYING_WHILE_THE_OTHER_CLAIMS, corpus, tmp_path / "out", tmp_path / "marker")
+    proc = run_python(DYING_WHILE_THE_OTHER_COMPUTES, corpus, tmp_path / "out", tmp_path / "marker")
     assert (proc.returncode, proc.stderr) == (
         1, "error: worker process exited unexpectedly (exit code 3)\n"
     )
     assert not (tmp_path / "out" / "census.csv").exists()
 
 
-# Runs census at --jobs 2, one line per batch. A worker that runs out of
-# batches writes its pid to the marker file as it exits. The worker that
-# claims batch 0 computes it only once the other worker has exited and the
-# main process has reaped it (or after 30 s).
+# Runs census at --jobs 2, one line per batch, with workers that exit 3 once
+# they have sent one result. The main process waits 0.5 s after each wake-up
+# before it reads the results, so it sends the next batch to a worker that is
+# gone.
+GONE_BEFORE_THE_NEXT_BATCH = (
+    "import multiprocessing, multiprocessing.connection, os, sys, time\n"
+    "from threadmotifs import cli\n"
+    "multiprocessing.set_start_method('fork')\n"
+    "os.sched_getaffinity = lambda pid: {0, 1}\n"
+    "wait = multiprocessing.connection.wait\n"
+    "def slow_wait(conns):\n"
+    "    ready = wait(conns)\n"
+    "    time.sleep(0.5)\n"
+    "    return ready\n"
+    "def serve_once(fn, conn, parent_ends):\n"
+    "    for end in parent_ends:\n"
+    "        end.close()\n"
+    "    conn.send((True, fn(*conn.recv())))\n"
+    "    os._exit(3)\n"
+    "multiprocessing.connection.wait = slow_wait\n"
+    "cli._serve = serve_once\n"
+    "cli.BATCH_BYTES = 1\n"
+    "sys.exit(cli.main(['census', '--input', sys.argv[1], '--out', sys.argv[2],"
+    " '--jobs', '2']))\n"
+)
+
+
+@needs_fork
+def test_failed_send_to_a_gone_worker_is_input_error(tmp_path):
+    corpus = write_corpus(tmp_path / "c.jsonl", [filler_thread(f"t{i}") for i in range(6)])
+    proc = run_python(GONE_BEFORE_THE_NEXT_BATCH, corpus, tmp_path / "out")
+    assert (proc.returncode, proc.stderr) == (
+        1, "error: worker process exited unexpectedly (exit code 3)\n"
+    )
+    assert not (tmp_path / "out" / "census.csv").exists()
+
+
+# Runs census at --jobs 2, one line per batch. The worker that holds batch 0
+# computes it only once the other worker has computed t7, and so every later
+# batch; if that takes over 30 s, t0 fails.
 SLOW_FIRST_BATCH = (
     "import multiprocessing, os, sys, time\n"
     "from pathlib import Path\n"
     "from threadmotifs import cli\n"
+    "from threadmotifs.errors import ThreadMotifsError\n"
     "multiprocessing.set_start_method('fork')\n"
     "os.sched_getaffinity = lambda pid: {0, 1}\n"
     "marker = Path(sys.argv[3])\n"
-    "census_rows, claim = cli._census_rows, cli._claim\n"
+    "census_rows = cli._census_rows\n"
     "def slow_rows(thread, **kwargs):\n"
     "    if thread.thread_id == 't0':\n"
     "        deadline = time.monotonic() + 30\n"
     "        while not marker.exists() and time.monotonic() < deadline:\n"
     "            time.sleep(0.01)\n"
-    "        pid = int(marker.read_text())\n"
-    "        while time.monotonic() < deadline:\n"
-    "            try:\n"
-    "                os.kill(pid, 0)\n"
-    "            except ProcessLookupError:\n"
-    "                break\n"
-    "            time.sleep(0.01)\n"
-    "    return census_rows(thread, **kwargs)\n"
-    "def claim_then_mark(*args):\n"
-    "    claim(*args)\n"
-    "    Path(f'{marker}.tmp').write_text(str(os.getpid()))\n"
-    "    os.replace(f'{marker}.tmp', marker)\n"
-    "cli._census_rows, cli._claim = slow_rows, claim_then_mark\n"
+    "        if not marker.exists():\n"
+    "            raise ThreadMotifsError('t7 was not computed within 30 s')\n"
+    "    rows = census_rows(thread, **kwargs)\n"
+    "    if thread.thread_id == 't7':\n"
+    "        marker.touch()\n"
+    "    return rows\n"
+    "cli._census_rows = slow_rows\n"
     "cli.BATCH_BYTES = 1\n"
     "sys.exit(cli.main(['census', '--input', sys.argv[1], '--out', sys.argv[2],"
     " '--jobs', '2']))\n"

@@ -262,7 +262,7 @@ class TestCensus:
             bwd = census_naive(reversed_g, TABLE)
             for cls in TABLE.classes:
                 mirrored = tuple(reverse_code[d] for d in cls.configs[0])
-                assert bwd.counts[TABLE.index_of(mirrored)] == fwd.counts[cls.index]
+                assert bwd.counts[TABLE.config_index[mirrored]] == fwd.counts[cls.index]
             assert bwd.total == fwd.total
 
     def test_base_sums_match_anchor_restricted_classical_census(self):
