@@ -303,7 +303,7 @@ def _merge_batches(results: Iterable[list]) -> Iterator[list]:
         _diag("warning: no threads remain after filtering")
 
 
-# Row functions live at module level so they pickle for the pool. Each maps
+# Row functions live at module level so they pickle for the workers. Each maps
 # one thread to its output rows; reals stay unformatted for the caller.
 
 def _macro_rows(thread: ThreadRecord, branching_mode: str) -> list[tuple]:

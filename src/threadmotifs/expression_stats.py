@@ -15,6 +15,7 @@ side, or zero baseline variance, carry an explicit reason instead of a Z.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -110,7 +111,7 @@ class NullModel(NamedTuple):
 def _mean_sigma(
     group: Sequence[MotifCensus],
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Per-class mean and population sigma over a non-empty group of censuses.
+    """Per-class mean and population sigma over a group of censuses; () each if empty.
 
     Counts are integers, so each column's sum is exact before the one
     division by n. The squared deviations are added one graph at a time in
@@ -167,6 +168,15 @@ class ZReport(NamedTuple):
     cells: tuple[ZCell, ...]
 
 
+def _side_stats(n: int, means: Sequence | None, sigmas: Sequence | None) -> Iterable[tuple]:
+    """Per-class (mean, sigma, standard error) of one side of a bin of n
+    graphs; all None, for every class, when the bin is empty."""
+    if n == 0:
+        return itertools.repeat((None, None, None))
+    root_n = math.sqrt(n)
+    return [(mean, sigma, sigma / root_n) for mean, sigma in zip(means, sigmas)]
+
+
 def z_scores(
     focus: BinnedCensuses, null: NullModel, class_names: Sequence[str]
 ) -> ZReport:
@@ -175,43 +185,38 @@ def z_scores(
         raise ValueError("focus binning and null model use different bin specs")
     spec = focus.spec
     cells = []
-    for b, label in enumerate(spec.labels):
-        group = focus.groups[b]
+    for b, (label, group) in enumerate(zip(spec.labels, focus.groups)):
         n = len(group)
         m = null.sizes[b]
         if n == 0 and m == 0:
             continue  # bin empty in both corpora: nothing to report
-        mu = null.mu[b]
-        sigma = null.sigma[b]
-        se_null = None if mu is None else [s / math.sqrt(m) for s in sigma]
-        if n:
-            mean_f, sigma_f = _mean_sigma(group)
-            se_f = [s / math.sqrt(n) for s in sigma_f]
-        else:
-            mean_f = sigma_f = se_f = None
-        for i, name in enumerate(class_names):
+        baseline_side = _side_stats(m, null.mu[b], null.sigma[b])
+        focus_side = _side_stats(n, *_mean_sigma(group))
+        for name, (mu, sigma, se_null), (mean_f, sigma_f, se_f) in zip(
+            class_names, baseline_side, focus_side
+        ):
             z = reason = None
             if m == 0:
                 reason = REASON_EMPTY_BASELINE
             elif n == 0:
                 reason = REASON_EMPTY_FOCUS
-            elif sigma[i] == 0.0:
+            elif sigma == 0.0:
                 reason = REASON_ZERO_VARIANCE
             else:
-                z = (mean_f[i] - mu[i]) / sigma[i]
+                z = (mean_f - mu) / sigma
             cells.append(
                 ZCell(
                     bin_index=b,
                     bin_label=label,
                     class_name=name,
                     m_baseline=m,
-                    mu_null=None if mu is None else mu[i],
-                    sigma_null=None if sigma is None else sigma[i],
-                    se_null=None if se_null is None else se_null[i],
+                    mu_null=mu,
+                    sigma_null=sigma,
+                    se_null=se_null,
                     n_focus=n,
-                    mean_focus=None if mean_f is None else mean_f[i],
-                    sigma_focus=None if sigma_f is None else sigma_f[i],
-                    se_focus=None if se_f is None else se_f[i],
+                    mean_focus=mean_f,
+                    sigma_focus=sigma_f,
+                    se_focus=se_f,
                     z=z,
                     reason=reason,
                 )
@@ -250,28 +255,23 @@ def classify_expression(
         for mean in (cell.mu_null, cell.mean_focus):
             if mean is not None and mean > rarity_threshold:
                 populated.add(cell.class_name)
-    class_labels: dict[str, set[str]] = {name: set() for name in report.class_names}
+    class_labels: dict[str, set[str]] = {
+        name: set() if name in populated else {LABEL_RARE} for name in report.class_names
+    }
     cell_labels = []
     for cell in report.cells:
         if cell.class_name not in populated:
-            cell_labels.append(LABEL_RARE)
-            continue
-        if cell.z is None:
-            cell_labels.append("")
+            label = LABEL_RARE
+        elif cell.z is None:
+            label = ""
         elif cell.z > 1.0:
-            cell_labels.append(LABEL_OVER)
-            class_labels[cell.class_name].add(LABEL_OVER)
+            label = LABEL_OVER
         elif cell.z < -1.0:
-            cell_labels.append(LABEL_UNDER)
-            class_labels[cell.class_name].add(LABEL_UNDER)
+            label = LABEL_UNDER
         else:
-            cell_labels.append(LABEL_EQUAL)
-    summary = {}
-    for name in report.class_names:
-        if name not in populated:
-            summary[name] = frozenset({LABEL_RARE})
-        elif class_labels[name]:
-            summary[name] = frozenset(class_labels[name])
-        else:
-            summary[name] = frozenset({LABEL_EQUAL})
+            label = LABEL_EQUAL
+        if label in (LABEL_OVER, LABEL_UNDER):
+            class_labels[cell.class_name].add(label)
+        cell_labels.append(label)
+    summary = {name: frozenset(labels or {LABEL_EQUAL}) for name, labels in class_labels.items()}
     return ExpressionReport(report, rarity_threshold, tuple(cell_labels), summary)

@@ -157,59 +157,33 @@ def build_class_table() -> ClassTable:
     The canonical orbit representative is the lexicographic minimum under
     N < O < I < M. Within each base type, pinned letters are honored first
     and the remaining variants take the remaining letters in ascending
-    canonical-config order; single-variant types carry no letter.
+    canonical-config order; single-variant types carry no letter. The
+    mutual/asymmetric/null counts are the digits of the base type's name.
     """
-    orbits: list[tuple[TriadConfig, ...]] = []
-    seen: set[TriadConfig] = set()
+    # itertools.product yields configs in N < O < I < M order, so each base
+    # type's orbits are keyed by canonical config in ascending order.
+    orbits: dict[str, dict[TriadConfig, tuple[TriadConfig, ...]]] = {b: {} for b in BASE_TYPES}
     for config in itertools.product(DYAD_CODES, repeat=3):
-        if config in seen:
-            continue
-        mirror = swap_config(config)
-        members = tuple(sorted({config, mirror}, key=_config_key))
-        seen.update(members)
-        orbits.append(members)
-
-    by_base: dict[str, list[tuple[TriadConfig, ...]]] = {b: [] for b in BASE_TYPES}
-    for members in orbits:
-        by_base[base_type_name(members[0])].append(members)
+        members = tuple(sorted({config, swap_config(config)}, key=_config_key))
+        if members[0] == config:
+            orbits[base_type_name(config)][config] = members
 
     classes: list[AnchoredTriadClass] = []
     config_index: dict[TriadConfig, int] = {}
     name_index: dict[str, int] = {}
-    for base in BASE_TYPES:
-        group = sorted(by_base[base], key=lambda mem: _config_key(mem[0]))
-        if len(group) == 1:
-            named_group = [(base, group[0])]
-        else:
-            letters = list("abc"[: len(group)])
-            assigned: dict[tuple[TriadConfig, ...], str] = {}
-            for members in group:
-                pin = _PINNED_LETTERS.get(members[0])
-                if pin is not None:
-                    assigned[members] = pin
-                    letters.remove(pin)
-            for members in group:
-                if members not in assigned:
-                    assigned[members] = letters.pop(0)
-            named_group = sorted(
-                ((f"{base}-{letter}", members) for members, letter in assigned.items()),
-                key=lambda item: item[0],
-            )
-        for name, members in named_group:
-            canonical = members[0]
-            man = (
-                sum(1 for d in canonical if d == "M"),
-                sum(1 for d in canonical if d in ("O", "I")),
-                sum(1 for d in canonical if d == "N"),
-            )
+    for base, group in orbits.items():
+        pins = [_PINNED_LETTERS.get(canonical) for canonical in group]
+        free = iter(sorted(set("abc"[: len(group)]).difference(pins)))
+        letters = [pin or next(free) for pin in pins]
+        for letter, members in sorted(zip(letters, group.values())):
             cls = AnchoredTriadClass(
                 index=len(classes),
-                name=name,
+                name=f"{base}-{letter}" if len(group) > 1 else base,
                 base=base,
                 configs=members,
-                man_counts=man,
+                man_counts=tuple(int(digit) for digit in base[:3]),
             )
-            name_index[name] = cls.index
+            name_index[cls.name] = cls.index
             for member in members:
                 config_index[member] = cls.index
             classes.append(cls)

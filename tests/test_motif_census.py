@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from threadmotifs.cli import main
 from threadmotifs.errors import (
     InvalidLifetimeError,
     InvalidPairError,
@@ -86,6 +87,48 @@ EXPECTED_VARIANTS_PER_BASE = {
     "111D": 3, "111U": 3, "030T": 3, "030C": 1, "201": 2, "120D": 2,
     "120U": 2, "120C": 3, "210": 3, "300": 1,
 }
+
+# What `threadmotifs classes` prints, pinned: the classes in table order,
+# each with its canonical config, its swap partner, and its M/A/N counts.
+CLASSES_LISTING = """\
+class,config1,config2,M,A,N
+003,NNN,,0,0,3
+012-a,NNO,NNI,0,1,2
+012-b,NIN,INN,0,1,2
+012-c,NON,ONN,0,1,2
+102-a,NNM,,1,0,2
+102-b,NMN,MNN,1,0,2
+021D-a,NII,INO,0,2,1
+021D-b,OON,,0,2,1
+021U-a,IIN,,0,2,1
+021U-b,NOO,ONI,0,2,1
+021C-a,NOI,ONO,0,2,1
+021C-b,NIO,INI,0,2,1
+021C-c,OIN,ION,0,2,1
+111D-a,NOM,ONM,1,1,1
+111D-b,IMN,MIN,1,1,1
+111D-c,NMO,MNI,1,1,1
+111U-a,NIM,INM,1,1,1
+111U-b,NMI,MNO,1,1,1
+111U-c,OMN,MON,1,1,1
+030T-a,OOO,OOI,0,3,0
+030T-b,OII,IOO,0,3,0
+030T-c,IIO,III,0,3,0
+030C,OIO,IOI,0,3,0
+201-a,NMM,MNM,2,0,1
+201-b,MMN,,2,0,1
+120D-a,OOM,,1,2,0
+120D-b,IMO,MII,1,2,0
+120U-a,OMI,MOO,1,2,0
+120U-b,IIM,,1,2,0
+120C-a,OIM,IOM,1,2,0
+120C-b,OMO,MOI,1,2,0
+120C-c,IMI,MIO,1,2,0
+210-a,OMM,MOM,2,1,0
+210-b,IMM,MIM,2,1,0
+210-c,MMO,MMI,2,1,0
+300,MMM,,3,0,0
+"""
 
 ALL_CONFIGS = list(itertools.product(DYAD_CODES, repeat=3))
 
@@ -178,6 +221,10 @@ class TestClassTable:
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
             TABLE.named("999-z")
+
+    def test_classes_listing_is_pinned(self, capsys):
+        assert main(["classes"]) == 0
+        assert capsys.readouterr().out == CLASSES_LISTING
 
     def test_build_is_deterministic(self):
         again = build_class_table()

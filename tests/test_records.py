@@ -48,7 +48,7 @@ def test_fields_in_order_and_read_only(record):
 def test_defaults_and_pickling():
     assert tm.FilterPolicy() == (5, True, "[deleted]")
     assert tm.BinSpec().ranges[0] == (1, 5) and len(tm.BinSpec().ranges) == 8
-    # The pool ships these two; unpickling goes through their checking __new__.
+    # The workers receive these two; unpickling goes through their checking __new__.
     for value in (tm.FilterPolicy(2, False), tm.BinSpec.parse("1-2,5-9")):
         back = pickle.loads(pickle.dumps(value))
         assert back == value and type(back) is type(value)
