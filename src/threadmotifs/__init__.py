@@ -9,7 +9,6 @@ baseline null model.
 from .errors import (
     CorpusParseError,
     InvalidLifetimeError,
-    InvalidPairError,
     ThreadMotifsError,
     ThreadValidationError,
     UndefinedMetricError,
@@ -52,7 +51,6 @@ from .motif_census import (
     census_fast,
     census_naive,
     completion_fractions,
-    dyad_code,
     get_class_table,
     motif_instances,
 )

@@ -383,16 +383,14 @@ def _csv_rows(path: Path, fh) -> Iterator[list[str]]:
         raise CorpusParseError(reader.line_num, f"{path}: bad CSV ({err})") from None
 
 
-def read_census_csv(
-    path: Path, class_names: Sequence[str], source: str | None = None
-) -> list[MotifCensus]:
+def read_census_csv(path: Path, class_names: Sequence[str], source: str) -> list[MotifCensus]:
     """Load censuses back from a census.csv, enforcing the exact schema.
 
     Every row's counts must be non-negative and sum to C(n_users - 1, 2), as
     a census's do. ``n_users`` must be below 2**63, as the corpus timestamps
     are, so every count and every square of one is a finite float.
-    When ``source`` is given, one warning on stderr counts the rows whose
-    source column differs from it; those rows are still loaded.
+    One warning on stderr counts the rows whose source column differs from
+    ``source``; those rows are still loaded.
     """
     expected = census_header(class_names)
     with open(path, encoding="utf-8") as fh:
@@ -430,7 +428,7 @@ def read_census_csv(
                     f"not C(n_users - 1, 2) for n_users = {n_users}",
                 )
             censuses.append(MotifCensus(counts, n_users))
-            if source is not None and row[1] != source:
+            if row[1] != source:
                 strays += 1
     if strays:
         _diag(

@@ -45,6 +45,3 @@ class UndefinedMetricError(ThreadMotifsError):
 class InvalidLifetimeError(ThreadMotifsError):
     """Lifetime bounds are inverted (end before start)."""
 
-
-class InvalidPairError(ThreadMotifsError):
-    """A dyad was requested for an invalid node pair (e.g. a node with itself)."""

@@ -21,11 +21,10 @@ import math
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
-from .errors import InvalidLifetimeError, InvalidPairError, UndefinedMetricError
+from .errors import InvalidLifetimeError, UndefinedMetricError
 from .graphs import UserGraph
 
 DYAD_CODES = ("N", "O", "I", "M")
-_CODE_ORDER = {"N": 0, "O": 1, "I": 2, "M": 3}
 _FLIP = {"N": "N", "O": "I", "I": "O", "M": "M"}
 # For census_fast's closed form: the 10 unordered pairs of anchor-dyad codes,
 # as positions in DYAD_CODES, each with its config when the peers are unlinked.
@@ -35,6 +34,8 @@ _UNLINKED_PAIRS = tuple(
 )
 
 TriadConfig = tuple[str, str, str]
+# The nodes of a config's three dyads, in order (0 = anchor, 1 = v, 2 = w).
+_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 # Holland-Leinhardt triad types in their conventional order; class columns
 # follow this order, then the variant letter.
@@ -61,57 +62,29 @@ def swap_config(config: TriadConfig) -> TriadConfig:
 
 
 def _config_key(config: TriadConfig) -> tuple[int, int, int]:
-    return tuple(_CODE_ORDER[d] for d in config)  # type: ignore[return-value]
-
-
-def dyad_code(g: UserGraph, x: int, y: int) -> str:
-    """Dyad state of the ordered pair (x, y)."""
-    if x == y:
-        raise InvalidPairError("dyad of a node with itself is undefined")
-    fwd = (x, y) in g.edges
-    bwd = (y, x) in g.edges
-    if fwd and bwd:
-        return "M"
-    if fwd:
-        return "O"
-    if bwd:
-        return "I"
-    return "N"
-
-
-def _triad_edges(config: TriadConfig) -> list[tuple[int, int]]:
-    """Directed edges of the 3-node triad (0 = anchor, 1 = v, 2 = w)."""
-    edges = []
-    for (a, b), code in zip(((0, 1), (0, 2), (1, 2)), config):
-        if code in ("O", "M"):
-            edges.append((a, b))
-        if code in ("I", "M"):
-            edges.append((b, a))
-    return edges
+    return tuple(map(DYAD_CODES.index, config))  # type: ignore[return-value]
 
 
 def base_type_name(config: TriadConfig) -> str:
     """Holland-Leinhardt type of the unanchored triad underlying a config."""
-    m = sum(1 for d in config if d == "M")
-    a = sum(1 for d in config if d in ("O", "I"))
+    m = config.count("M")
+    a = config.count("O") + config.count("I")
     base = f"{m}{a}{3 - m - a}"
     if base not in ("021", "030", "111", "120"):
         return base
-    edges = set(_triad_edges(config))
-    asym = [(s, t) for s, t in sorted(edges) if (t, s) not in edges]
+    # The (tail, head) of each asymmetric dyad.
+    tails, heads = zip(*(
+        (x, y) if d == "O" else (y, x)
+        for (x, y), d in zip(_PAIRS, config)
+        if d in ("O", "I")
+    ))
     if base == "030":
-        out_counts = [sum(1 for s, _ in asym if s == node) for node in range(3)]
-        return "030C" if all(c == 1 for c in out_counts) else "030T"
+        return "030C" if len(set(tails)) == 3 else "030T"
     if base == "111":
-        mutual_pair = next(
-            pair for pair, d in zip(((0, 1), (0, 2), (1, 2)), config) if d == "M"
-        )
-        (_, target), = asym
-        return "111D" if target in mutual_pair else "111U"
-    (s1, t1), (s2, t2) = asym
-    if s1 == s2:
+        return "111D" if heads[0] in _PAIRS[config.index("M")] else "111U"
+    if tails[0] == tails[1]:
         return base + "D"
-    if t1 == t2:
+    if heads[0] == heads[1]:
         return base + "U"
     return base + "C"
 
@@ -228,13 +201,17 @@ def _anchored_dyads(g: UserGraph) -> tuple[list, dict[tuple[int, int], str]]:
 
 
 def census_naive(g: UserGraph, table: ClassTable) -> MotifCensus:
-    """Reference census: look up the class of every non-anchor pair directly."""
+    """Reference census: look up the class of every non-anchor pair directly,
+    each dyad from two membership tests on the edges."""
+    edges, anchor = g.edges, g.anchor
+
+    def dyad(x: int, y: int) -> str:
+        return DYAD_CODES[((x, y) in edges) + 2 * ((y, x) in edges)]
+
     counts = [0] * len(table.classes)
-    anchor = g.anchor
     others = [u for u in range(g.n_users) if u != anchor]
     for v, w in itertools.combinations(others, 2):
-        config = (dyad_code(g, anchor, v), dyad_code(g, anchor, w), dyad_code(g, v, w))
-        counts[table.config_index[config]] += 1
+        counts[table.config_index[dyad(anchor, v), dyad(anchor, w), dyad(v, w)]] += 1
     return MotifCensus(tuple(counts), g.n_users)
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from threadmotifs.errors import CorpusParseError, ThreadValidationError
 from threadmotifs.graphs import UserGraph
-from threadmotifs.motif_census import AnchoredTriadClass, dyad_code
+from threadmotifs.motif_census import AnchoredTriadClass
 from threadmotifs.thread_model import SOURCES, PostRecord, ThreadRecord
 
 
@@ -62,6 +62,15 @@ def random_user_graph(rng: random.Random, n: int, density: float, anchor=None) -
         anchor=rng.randrange(n) if anchor is None else anchor,
         edges=edges,
     )
+
+
+def dyad_code(g: UserGraph, x: int, y: int) -> str:
+    """Dyad state of the ordered pair (x, y): N no edge, O x -> y only,
+    I y -> x only, M both directions."""
+    fwd, bwd = (x, y) in g.edges, (y, x) in g.edges
+    if fwd and bwd:
+        return "M"
+    return "O" if fwd else "I" if bwd else "N"
 
 
 def instances_oracle(g: UserGraph, cls: AnchoredTriadClass) -> list[tuple[int, int]]:

@@ -11,11 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from threadmotifs.cli import main
-from threadmotifs.errors import (
-    InvalidLifetimeError,
-    InvalidPairError,
-    UndefinedMetricError,
-)
+from threadmotifs.errors import InvalidLifetimeError, UndefinedMetricError
 from threadmotifs.graphs import UserGraph, build_user_graph
 from threadmotifs.motif_census import (
     DYAD_CODES,
@@ -23,7 +19,6 @@ from threadmotifs.motif_census import (
     census_fast,
     census_naive,
     completion_fractions,
-    dyad_code,
     get_class_table,
     motif_instances,
     swap_config,
@@ -31,6 +26,7 @@ from threadmotifs.motif_census import (
 
 from support import (
     completion_oracle,
+    dyad_code,
     fig2_thread,
     graph_from_names,
     instances_oracle,
@@ -163,11 +159,6 @@ class TestDyadCode:
         for x, y in itertools.permutations(range(6), 2):
             assert dyad_code(g, y, x) == flip[dyad_code(g, x, y)]
 
-    def test_self_pair_rejected(self):
-        g = random_user_graph(random.Random(2), 3, 0.5)
-        with pytest.raises(InvalidPairError):
-            dyad_code(g, 1, 1)
-
 
 class TestClassTable:
     def test_full_expected_table(self):
@@ -276,15 +267,16 @@ class TestCensus:
         assert census.counts[TABLE.named("003").index] == 36
         assert census.total == 36
 
-    def test_fast_equals_naive_exhaustive_n3(self):
-        # Every digraph on 3 nodes.
-        pairs = list(itertools.permutations(range(3), 2))
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_fast_equals_naive_exhaustive(self, n):
+        # Every digraph on n nodes, with every anchor.
+        users = tuple(f"u{i}" for i in range(n))
+        pairs = list(itertools.permutations(range(n), 2))
         for mask in range(2 ** len(pairs)):
-            edges = {
-                pair: 0 for i, pair in enumerate(pairs) if mask >> i & 1
-            }
-            g = UserGraph(users=("a", "b", "c"), anchor=0, edges=edges)
-            assert census_fast(g, TABLE) == census_naive(g, TABLE)
+            edges = {pair: 0 for i, pair in enumerate(pairs) if mask >> i & 1}
+            for anchor in range(n):
+                g = UserGraph(users=users, anchor=anchor, edges=edges)
+                assert census_fast(g, TABLE) == census_naive(g, TABLE)
 
     def test_fast_equals_naive_random(self):
         rng = random.Random(613)
