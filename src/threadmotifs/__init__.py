@@ -47,9 +47,7 @@ from .motif_census import (
     AnchoredTriadClass,
     ClassTable,
     MotifCensus,
-    build_class_table,
     census_fast,
-    census_naive,
     completion_fractions,
     get_class_table,
     motif_instances,
@@ -62,7 +60,6 @@ from .thread_model import (
     parse_numbered,
     parse_thread_line,
     thread_lifetime,
-    to_json_line,
 )
 
 __version__ = "0.1.0"

@@ -55,7 +55,7 @@ _PINNED_LETTERS: dict[TriadConfig, str] = {
 }
 
 
-def swap_config(config: TriadConfig) -> TriadConfig:
+def _swap_config(config: TriadConfig) -> TriadConfig:
     """The same triad with the two non-anchor nodes exchanged."""
     d1, d2, d3 = config
     return (d2, d1, _FLIP[d3])
@@ -114,9 +114,6 @@ class ClassTable(NamedTuple):
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.classes)
 
-    def class_of(self, config: TriadConfig) -> AnchoredTriadClass:
-        return self.classes[self.config_index[config]]
-
     def named(self, name: str) -> AnchoredTriadClass:
         try:
             return self.classes[self.name_index[name]]
@@ -124,8 +121,9 @@ class ClassTable(NamedTuple):
             raise KeyError(f"unknown anchored triad class {name!r}") from None
 
 
-def build_class_table() -> ClassTable:
-    """Enumerate the 64 configs, group swap orbits, and name the 36 classes.
+@lru_cache(maxsize=1)
+def get_class_table() -> ClassTable:
+    """The 36 named swap orbits of the 64 configs, built once; do not mutate.
 
     The canonical orbit representative is the lexicographic minimum under
     N < O < I < M. Within each base type, pinned letters are honored first
@@ -137,7 +135,7 @@ def build_class_table() -> ClassTable:
     # type's orbits are keyed by canonical config in ascending order.
     orbits: dict[str, dict[TriadConfig, tuple[TriadConfig, ...]]] = {b: {} for b in BASE_TYPES}
     for config in itertools.product(DYAD_CODES, repeat=3):
-        members = tuple(sorted({config, swap_config(config)}, key=_config_key))
+        members = tuple(sorted({config, _swap_config(config)}, key=_config_key))
         if members[0] == config:
             orbits[base_type_name(config)][config] = members
 
@@ -161,12 +159,6 @@ def build_class_table() -> ClassTable:
                 config_index[member] = cls.index
             classes.append(cls)
     return ClassTable(tuple(classes), config_index, name_index)
-
-
-@lru_cache(maxsize=1)
-def get_class_table() -> ClassTable:
-    """Shared, lazily built class table; treat as immutable."""
-    return build_class_table()
 
 
 class MotifCensus(NamedTuple):

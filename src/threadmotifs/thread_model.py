@@ -260,20 +260,6 @@ def parse_numbered(
             on_error(err)
 
 
-def to_json_line(thread: ThreadRecord) -> str:
-    """Serialize a thread back to its one-line corpus form."""
-    return json.dumps(
-        {
-            "thread_id": thread.thread_id,
-            "source": thread.source,
-            "posts": [
-                {"id": p.id, "parent": p.parent, "author": p.author, "t": p.t}
-                for p in thread.posts
-            ],
-        }
-    )
-
-
 def filter_corpus(
     threads: Iterable[ThreadRecord], policy: FilterPolicy
 ) -> list[ThreadRecord]:

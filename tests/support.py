@@ -10,13 +10,32 @@ from fractions import Fraction
 
 from threadmotifs.errors import CorpusParseError, ThreadValidationError
 from threadmotifs.graphs import UserGraph
-from threadmotifs.motif_census import AnchoredTriadClass
+from threadmotifs.motif_census import AnchoredTriadClass, ClassTable, TriadConfig
 from threadmotifs.thread_model import SOURCES, PostRecord, ThreadRecord
 
 
 def make_thread(thread_id, source, posts) -> ThreadRecord:
     """Build a thread from (id, parent, author, t) tuples."""
     return ThreadRecord.from_posts(thread_id, source, (PostRecord(*p) for p in posts))
+
+
+def to_json_line(thread: ThreadRecord) -> str:
+    """Serialize a thread back to its one-line corpus form."""
+    return json.dumps(
+        {
+            "thread_id": thread.thread_id,
+            "source": thread.source,
+            "posts": [
+                {"id": p.id, "parent": p.parent, "author": p.author, "t": p.t}
+                for p in thread.posts
+            ],
+        }
+    )
+
+
+def class_of(table: ClassTable, config: TriadConfig) -> AnchoredTriadClass:
+    """The class a triad config belongs to."""
+    return table.classes[table.config_index[config]]
 
 
 def fig2_thread() -> ThreadRecord:

@@ -26,20 +26,21 @@ from threadmotifs.macro_metrics import (
     reciprocity,
 )
 from threadmotifs.motif_census import (
-    build_class_table,
     census_fast,
     census_naive,
     completion_fractions,
     get_class_table,
 )
-from threadmotifs.thread_model import FilterPolicy, filter_corpus, to_json_line
+from threadmotifs.thread_model import FilterPolicy, filter_corpus
 
 from support import (
     betweenness_oracle,
+    class_of,
     fig2_thread,
     make_thread,
     random_user_graph,
     synth_corpus,
+    to_json_line,
 )
 from test_expression_stats import hand_report
 
@@ -59,7 +60,7 @@ def criterion(number: int, name: str):
 def test_01_class_table_correctness():
     with criterion(1, "class table"):
         start = time.perf_counter()
-        table = build_class_table()
+        table = get_class_table.__wrapped__()
         elapsed = time.perf_counter() - start
         assert len(table.classes) == 36
         configs = [cfg for cls in table.classes for cfg in cls.configs]
@@ -80,10 +81,10 @@ def test_01_class_table_correctness():
 
 def test_02_pinned_letters():
     with criterion(2, "pinned variant letters"):
-        assert TABLE.class_of(("I", "I", "N")).name == "021U-a"
-        assert TABLE.class_of(("M", "M", "N")).name == "201-b"
-        assert TABLE.class_of(("I", "N", "N")).name == "012-b"
-        assert TABLE.class_of(("I", "M", "N")).name == "111D-b"
+        assert class_of(TABLE, ("I", "I", "N")).name == "021U-a"
+        assert class_of(TABLE, ("M", "M", "N")).name == "201-b"
+        assert class_of(TABLE, ("I", "N", "N")).name == "012-b"
+        assert class_of(TABLE, ("I", "M", "N")).name == "111D-b"
 
 
 def _assert_census_pair(g: UserGraph):
@@ -129,7 +130,7 @@ def test_04_fig2_fixture():
         census = census_naive(g, TABLE)
         expected = {name: 0 for name in TABLE.names}
         expected["021U-a"] = 1
-        expected[TABLE.class_of(("I", "M", "N")).name] = 4
+        expected[class_of(TABLE, ("I", "M", "N")).name] = 4
         expected["201-b"] = 1
         assert dict(zip(TABLE.names, census.counts)) == expected
 

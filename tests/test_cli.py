@@ -24,9 +24,8 @@ from threadmotifs.cli import census_header, main
 from threadmotifs.expression_stats import BinSpec
 from threadmotifs.graphs import build_user_graph
 from threadmotifs.motif_census import census_naive, get_class_table
-from threadmotifs.thread_model import to_json_line
 
-from support import fig2_thread, make_thread, synth_corpus
+from support import fig2_thread, make_thread, synth_corpus, to_json_line
 
 
 def write_corpus(path, threads):

@@ -145,6 +145,16 @@ class TestOpBetweenness:
         )
         assert op_betweenness(g) == 0.5
 
+    def test_exact_sum_matches_oracle_on_every_four_node_digraph(self):
+        # Every digraph on 4 labelled nodes, with every anchor: 4,096 x 4.
+        users = tuple(f"u{i}" for i in range(4))
+        pairs = list(itertools.permutations(range(4), 2))
+        for mask in range(2 ** len(pairs)):
+            edges = {pair: 0 for i, pair in enumerate(pairs) if mask >> i & 1}
+            for anchor in range(4):
+                g = UserGraph(users=users, anchor=anchor, edges=edges)
+                assert _op_betweenness_exact(g) == betweenness_oracle_exact(g)
+
     def test_matches_path_enumeration_oracle(self):
         rng = random.Random(97)
         for _ in range(300):

@@ -15,16 +15,15 @@ from threadmotifs.errors import InvalidLifetimeError, UndefinedMetricError
 from threadmotifs.graphs import UserGraph, build_user_graph
 from threadmotifs.motif_census import (
     DYAD_CODES,
-    build_class_table,
     census_fast,
     census_naive,
     completion_fractions,
     get_class_table,
     motif_instances,
-    swap_config,
 )
 
 from support import (
+    class_of,
     completion_oracle,
     dyad_code,
     fig2_thread,
@@ -187,22 +186,23 @@ class TestClassTable:
             assert digits == list(c.man_counts)
 
     def test_pinned_letters(self):
-        assert TABLE.class_of(("I", "I", "N")).name == "021U-a"
-        assert TABLE.class_of(("M", "M", "N")).name == "201-b"
-        assert TABLE.class_of(("I", "N", "N")).name == "012-b"
-        assert TABLE.class_of(("I", "M", "N")).name == "111D-b"
+        assert class_of(TABLE, ("I", "I", "N")).name == "021U-a"
+        assert class_of(TABLE, ("M", "M", "N")).name == "201-b"
+        assert class_of(TABLE, ("I", "N", "N")).name == "012-b"
+        assert class_of(TABLE, ("I", "M", "N")).name == "111D-b"
 
     def test_swap_invariance_of_classification(self):
-        for config in ALL_CONFIGS:
-            assert TABLE.class_of(config) is TABLE.class_of(swap_config(config))
+        flip = {"N": "N", "O": "I", "I": "O", "M": "M"}
+        for d1, d2, d3 in ALL_CONFIGS:
+            assert class_of(TABLE, (d1, d2, d3)) is class_of(TABLE, (d2, d1, flip[d3]))
 
     def test_base_names_match_networkx_triad_type(self):
         for config in ALL_CONFIGS:
-            cls = TABLE.class_of(config)
+            cls = class_of(TABLE, config)
             assert cls.base == nx.triads.triad_type(triad_digraph(config))
 
     def test_empty_triad_class(self):
-        assert TABLE.class_of(("N", "N", "N")).name == "003"
+        assert class_of(TABLE, ("N", "N", "N")).name == "003"
 
     def test_030_base_man_pattern(self):
         for c in TABLE.classes:
@@ -218,7 +218,7 @@ class TestClassTable:
         assert capsys.readouterr().out == CLASSES_LISTING
 
     def test_build_is_deterministic(self):
-        again = build_class_table()
+        again = get_class_table.__wrapped__()
         assert again.names == TABLE.names
         assert [c.configs for c in again.classes] == [c.configs for c in TABLE.classes]
 

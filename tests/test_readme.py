@@ -1,15 +1,43 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples run as written, on the public API it names."""
 
 from __future__ import annotations
 
 import re
 from pathlib import Path
+from types import ModuleType
 
-from threadmotifs.thread_model import to_json_line
+import threadmotifs
 
-from support import fig2_thread
+from support import fig2_thread, to_json_line
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+# What `threadmotifs` exports. Oracles and test helpers live in tests/support.py
+# or in their modules, never here.
+PUBLIC_NAMES = {
+    "AnchoredTriadClass", "BinSpec", "BinnedCensuses", "ClassTable", "CorpusParseError",
+    "DegreeReport", "Ecdf", "ExpressionReport", "FilterPolicy", "InvalidLifetimeError",
+    "MacroRecord", "MotifCensus", "NullModel", "PostRecord", "ReplyGraph",
+    "ThreadMotifsError", "ThreadRecord", "ThreadValidationError", "UndefinedMetricError",
+    "UserGraph", "ZCell", "ZReport", "assign_bins", "branching_factor", "build_reply_graph",
+    "build_user_graph", "census_fast", "classify_expression", "completion_fractions",
+    "degree_sequences", "ecdf", "filter_corpus", "fit_null_model", "get_class_table",
+    "macro_record", "motif_instances", "op_betweenness", "parse_numbered",
+    "parse_thread_line", "reciprocity", "responsiveness_median", "thread_lifetime",
+    "z_scores",
+}
+
+
+def test_public_names_are_pinned_and_documented():
+    # Submodules become package attributes once imported, so they are skipped.
+    public = {
+        name
+        for name, value in vars(threadmotifs).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert public == PUBLIC_NAMES
+    library_use = README.read_text(encoding="utf-8").split("## Library use")[1].split("\n## ")[0]
+    assert {name for name in PUBLIC_NAMES if f"`{name}`" not in library_use} == set()
 
 
 def test_library_use_examples_run(tmp_path, monkeypatch, capsys):

@@ -19,10 +19,9 @@ from threadmotifs.thread_model import (
     parse_numbered,
     parse_thread_line,
     thread_lifetime,
-    to_json_line,
 )
 
-from support import make_thread, parse_oracle, synth_corpus
+from support import make_thread, parse_oracle, synth_corpus, to_json_line
 
 
 def thread_json(thread_id="t", source="focus", posts=None) -> str:
