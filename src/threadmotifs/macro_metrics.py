@@ -93,7 +93,9 @@ def op_betweenness(g: UserGraph) -> float:
     unreachable pairs contribute 0. The anchor lies on a shortest s-t path
     exactly when dist(s, anchor) + dist(anchor, t) = dist(s, t), in which
     case the paths through it number sigma(s, anchor) * sigma(anchor, t).
-    The float is the nearest to the exact rational sum.
+    A pair with sigma_st = 1 adds exactly 1, counted as an int; only pairs
+    whose shortest paths split take a Fraction add. The float is the nearest
+    to the exact rational sum.
     """
     return float(_op_betweenness_exact(g))
 
@@ -107,6 +109,7 @@ def _op_betweenness_exact(g: UserGraph) -> Fraction:
     total = Fraction(0)
     if n <= 2:
         return total
+    whole = 0  # pairs whose one shortest path passes the anchor: each adds 1
     succ = g.successor_lists()
     dist_a, sigma_a = _bfs_counts(succ, anchor)
     for s in range(n):
@@ -120,8 +123,11 @@ def _op_betweenness_exact(g: UserGraph) -> Fraction:
             if t == s or t == anchor or dist_s[t] < 0 or dist_a[t] < 0:
                 continue
             if d_sa + dist_a[t] == dist_s[t]:
-                total += Fraction(sigma_s[anchor] * sigma_a[t], sigma_s[t])
-    return total
+                if sigma_s[t] == 1:
+                    whole += 1
+                else:
+                    total += Fraction(sigma_s[anchor] * sigma_a[t], sigma_s[t])
+    return total + whole
 
 
 def branching_factor(r: ReplyGraph, mode: str = "internal") -> float:

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
+import threadmotifs
 from threadmotifs.errors import CorpusParseError, ThreadValidationError
 from threadmotifs.graphs import UserGraph
 from threadmotifs.motif_census import AnchoredTriadClass, ClassTable, TriadConfig
@@ -30,6 +35,16 @@ def to_json_line(thread: ThreadRecord) -> str:
                 for p in thread.posts
             ],
         }
+    )
+
+
+def run_python(script, *args, timeout=60):
+    """Run a Python script in a fresh interpreter that imports this package."""
+    src = Path(threadmotifs.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=timeout,
     )
 
 

@@ -12,20 +12,18 @@ import subprocess
 import sys
 import threading
 from multiprocessing.connection import Connection
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-import threadmotifs
 from threadmotifs import cli, motif_census
 from threadmotifs.cli import census_header, main
 from threadmotifs.expression_stats import BinSpec
 from threadmotifs.graphs import build_user_graph
 from threadmotifs.motif_census import census_naive, get_class_table
 
-from support import fig2_thread, make_thread, synth_corpus, to_json_line
+from support import fig2_thread, make_thread, run_python, synth_corpus, to_json_line
 
 
 def write_corpus(path, threads):
@@ -734,16 +732,6 @@ class TestBatchPath:
             assert census(fifo, "fifo") == from_file
         finally:
             assert writer.wait(timeout=30) == 0
-
-
-def run_python(script, *args):
-    """Run a Python script in a fresh interpreter that imports this package."""
-    src = Path(threadmotifs.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run(
-        [sys.executable, "-c", script, *map(str, args)],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
 
 
 @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])

