@@ -336,7 +336,7 @@ def _degree_rows(thread: ThreadRecord) -> list[tuple]:
     ]
 
 
-def cmd_macro(args: Namespace) -> int:
+def cmd_macro(args: Namespace) -> None:
     """Write macro_metrics.csv and one ECDF CSV per metric."""
     row_fn = partial(_macro_rows, branching_mode=args.branching_mode)
     rows = list(itertools.chain.from_iterable(_thread_rows(args, row_fn)))
@@ -355,20 +355,18 @@ def cmd_macro(args: Namespace) -> int:
             _diag(f"warning: no defined values for {metric}, ECDF is empty")
         path = args.out / f"ecdf_{metric}.csv"
         _write_csv(path, ("value", "cum_fraction"), points)
-    return EXIT_OK
 
 
 def census_header(class_names: Sequence[str]) -> list[str]:
     return ["thread_id", "source", "n_users", "bin"] + list(class_names)
 
 
-def cmd_census(args: Namespace) -> int:
+def cmd_census(args: Namespace) -> None:
     """Write census.csv: per-thread anchored class counts plus bin label."""
     row_fn = partial(_census_rows, bins=args.bins, labels=args.bins.labels)
     rows = itertools.chain.from_iterable(_thread_rows(args, row_fn))
     header = census_header(get_class_table().names)
     _write_csv(args.out / "census.csv", header, rows)
-    return EXIT_OK
 
 
 def _csv_rows(path: Path, fh) -> Iterator[list[str]]:
@@ -438,7 +436,7 @@ def read_census_csv(path: Path, class_names: Sequence[str], source: str) -> list
     return censuses
 
 
-def cmd_compare(args: Namespace) -> int:
+def cmd_compare(args: Namespace) -> None:
     """Standardize a focus census file against a baseline one."""
     table = get_class_table()
     focus = read_census_csv(args.focus, table.names, "focus")
@@ -473,10 +471,9 @@ def cmd_compare(args: Namespace) -> int:
         for name in table.names
     ]
     _write_csv(args.out / "expression_summary.csv", ("class", "labels"), summary_rows)
-    return EXIT_OK
 
 
-def cmd_timing(args: Namespace) -> int:
+def cmd_timing(args: Namespace) -> None:
     """Write timing.csv: per-instance completion fractions plus their median."""
     fractions = []
 
@@ -497,10 +494,9 @@ def cmd_timing(args: Namespace) -> int:
         ("kind", "thread_id", "v_user", "w_user", "fraction"),
         rows(),
     )
-    return EXIT_OK
 
 
-def cmd_degrees(args: Namespace) -> int:
+def cmd_degrees(args: Namespace) -> None:
     """Write per-node degrees and corpus-wide degree histograms."""
     in_hist, out_hist = Counter(), Counter()  # (graph kind, degree) -> nodes
 
@@ -521,10 +517,9 @@ def cmd_degrees(args: Namespace) -> int:
         ("graph", "degree_kind", "degree", "count"),
         sorted(hist_rows),
     )
-    return EXIT_OK
 
 
-def cmd_classes(args: Namespace) -> int:
+def cmd_classes(args: Namespace) -> None:
     """Print the full class table: name, member configs, and M/A/N counts."""
     print("class,config1,config2,M,A,N")
     for cls in get_class_table().classes:
@@ -532,7 +527,6 @@ def cmd_classes(args: Namespace) -> int:
         config2 = configs[1] if len(configs) == 2 else ""
         m, a, n = cls.man_counts
         print(f"{cls.name},{configs[0]},{config2},{m},{a},{n}")
-    return EXIT_OK
 
 
 # Flag types: each converts and checks one flag value. argparse reports an
@@ -682,10 +676,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as stop:  # argparse: 0 after --help, 2 after a bad flag
         return stop.code
     try:
-        return args.run(args)
+        args.run(args)
     except (OSError, ThreadMotifsError) as err:
         _diag(f"error: {err}")
         return EXIT_INPUT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

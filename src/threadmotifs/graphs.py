@@ -50,14 +50,6 @@ class UserGraph(NamedTuple):
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def successor_lists(self) -> list[list[int]]:
-        succ: list[list[int]] = [[] for _ in range(self.n_users)]
-        for u, v in self.edges:
-            succ[u].append(v)
-        for lst in succ:
-            lst.sort()
-        return succ
-
 
 class DegreeReport(NamedTuple):
     """Per-node in/out degrees for one graph."""
@@ -102,16 +94,13 @@ def build_user_graph(thread: ThreadRecord) -> UserGraph:
 def degree_sequences(graph: ReplyGraph | UserGraph) -> DegreeReport:
     """Exact in/out degree of every node."""
     if isinstance(graph, ReplyGraph):
-        in_deg = [0] * graph.n_posts
-        out_deg = [0] * graph.n_posts
-        for child, parent in enumerate(graph.parent_of):
-            if parent is not None:
-                in_deg[parent] += 1
-                out_deg[child] = 1
-        return DegreeReport("reply", graph.post_ids, tuple(in_deg), tuple(out_deg))
-    in_deg = [0] * graph.n_users
-    out_deg = [0] * graph.n_users
-    for u, v in graph.edges:
+        kind, nodes = "reply", graph.post_ids
+        arcs = [(c, p) for c, p in enumerate(graph.parent_of) if p is not None]
+    else:
+        kind, nodes, arcs = "user", graph.users, graph.edges
+    in_deg = [0] * len(nodes)
+    out_deg = [0] * len(nodes)
+    for u, v in arcs:
         out_deg[u] += 1
         in_deg[v] += 1
-    return DegreeReport("user", graph.users, tuple(in_deg), tuple(out_deg))
+    return DegreeReport(kind, nodes, tuple(in_deg), tuple(out_deg))

@@ -110,7 +110,9 @@ def _op_betweenness_exact(g: UserGraph) -> Fraction:
     if n <= 2:
         return total
     whole = 0  # pairs whose one shortest path passes the anchor: each adds 1
-    succ = g.successor_lists()
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for u, v in g.edges:
+        succ[u].append(v)
     dist_a, sigma_a = _bfs_counts(succ, anchor)
     for s in range(n):
         if s == anchor:
@@ -120,7 +122,7 @@ def _op_betweenness_exact(g: UserGraph) -> Fraction:
             continue
         d_sa = dist_s[anchor]
         for t in range(n):
-            if t == s or t == anchor or dist_s[t] < 0 or dist_a[t] < 0:
+            if t == anchor or dist_a[t] < 0:
                 continue
             if d_sa + dist_a[t] == dist_s[t]:
                 if sigma_s[t] == 1:

@@ -220,8 +220,7 @@ def census_fast(g: UserGraph, table: ClassTable) -> MotifCensus:
     for i, j, config in _UNLINKED_PAIRS:
         n = tally[i]
         pairs = n * (n - 1) // 2 if i == j else n * tally[j]
-        if pairs:
-            counts[class_of[config]] += pairs
+        counts[class_of[config]] += pairs
     for (v, w), d3 in linked.items():
         c1, c2 = code_of[v], code_of[w]
         counts[class_of[c1, c2, "N"]] -= 1

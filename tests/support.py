@@ -259,7 +259,9 @@ def betweenness_oracle_exact(g: UserGraph) -> Fraction:
     """betweenness_oracle's exact rational sum."""
     n = g.n_users
     anchor = g.anchor
-    succ = g.successor_lists()
+    succ = [[] for _ in range(n)]
+    for u, v in g.edges:
+        succ[u].append(v)
     total = Fraction(0)
     for s in range(n):
         if s == anchor:

@@ -155,3 +155,8 @@ class TestDegreeSequences:
             report = degree_sequences(g)
             assert sum(report.in_degrees) == g.n_edges
             assert sum(report.out_degrees) == g.n_edges
+            report = degree_sequences(build_reply_graph(thread))
+            assert sum(report.in_degrees) == thread.n_posts - 1
+            assert sum(report.out_degrees) == thread.n_posts - 1
+            expected_out = [int(post != thread.root) for post in range(thread.n_posts)]
+            assert list(report.out_degrees) == expected_out

@@ -240,6 +240,8 @@ class TestOpBetweenness:
         exact = _op_betweenness_exact(g)
         assert exact == betweenness_oracle_exact(g)
         assert op_betweenness(g) == float(exact)
+        # Successor lists follow the order of g.edges; the sum must not.
+        assert _op_betweenness_exact(g._replace(edges=dict(reversed(g.edges.items())))) == exact
 
 
 class TestBranchingFactor:
