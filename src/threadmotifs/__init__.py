@@ -27,9 +27,7 @@ from .expression_stats import (
 )
 from .graphs import (
     DegreeReport,
-    ReplyGraph,
     UserGraph,
-    build_reply_graph,
     build_user_graph,
     degree_sequences,
 )

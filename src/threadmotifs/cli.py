@@ -32,7 +32,7 @@ from .expression_stats import (
     fit_null_model,
     z_scores,
 )
-from .graphs import build_reply_graph, build_user_graph, degree_sequences
+from .graphs import build_user_graph, degree_sequences
 from .macro_metrics import BRANCHING_MODES, MacroRecord, ecdf, lower_median, macro_record
 from .motif_census import MotifCensus, census_fast, completion_fractions, get_class_table
 from .thread_model import (
@@ -328,10 +328,9 @@ def _timing_rows(thread: ThreadRecord, class_name: str) -> list[tuple]:
 
 
 def _degree_rows(thread: ThreadRecord) -> list[tuple]:
-    user, reply = build_user_graph(thread), build_reply_graph(thread)
     return [
         (r.kind, f"{thread.thread_id}:{node}", din, dout)
-        for r in (degree_sequences(user), degree_sequences(reply))
+        for r in (degree_sequences(build_user_graph(thread)), degree_sequences(thread))
         for node, din, dout in zip(r.nodes, r.in_degrees, r.out_degrees)
     ]
 

@@ -1,9 +1,10 @@
 """Graph abstractions built from a single thread.
 
-Two views of the same conversation: the reply tree over posts, and the
-user interaction graph over distinct authors. Edges point from the
-replier toward the post/user being replied to, so a node's in-degree
-counts the replies it received.
+Two views of the same conversation: the reply tree over posts, which is
+the ``ThreadRecord`` itself (``parent_of`` and ``root``), and the user
+interaction graph over distinct authors. Edges point from the replier
+toward the post/user being replied to, so a node's in-degree counts the
+replies it received.
 """
 
 from __future__ import annotations
@@ -11,23 +12,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .thread_model import ThreadRecord
-
-
-class ReplyGraph(NamedTuple):
-    """Tree of posts; each non-root post has one edge to its parent."""
-
-    post_ids: tuple[str, ...]
-    timestamps: tuple[int, ...]
-    parent_of: tuple[int | None, ...]
-    root: int
-
-    @property
-    def n_posts(self) -> int:
-        return len(self.post_ids)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.post_ids) - 1
 
 
 class UserGraph(NamedTuple):
@@ -60,14 +44,9 @@ class DegreeReport(NamedTuple):
     out_degrees: tuple[int, ...]
 
 
-def build_reply_graph(thread: ThreadRecord) -> ReplyGraph:
-    """One node per post, one edge from each reply to the post it answers."""
-    return ReplyGraph(
-        post_ids=thread.post_ids,
-        timestamps=thread.timestamps,
-        parent_of=thread.parent_of,
-        root=thread.root,
-    )
+# benchmarks/tracer.py looks this name up; it goes when ROADMAP item 1 drops that span.
+def build_reply_graph(thread: ThreadRecord) -> ThreadRecord:
+    return thread
 
 
 def build_user_graph(thread: ThreadRecord) -> UserGraph:
@@ -91,13 +70,13 @@ def build_user_graph(thread: ThreadRecord) -> UserGraph:
     return UserGraph(users=thread.users, anchor=author_of[thread.root], edges=edges)
 
 
-def degree_sequences(graph: ReplyGraph | UserGraph) -> DegreeReport:
-    """Exact in/out degree of every node."""
-    if isinstance(graph, ReplyGraph):
+def degree_sequences(graph: UserGraph | ThreadRecord) -> DegreeReport:
+    """Exact in/out degree of every user, or of every post of a thread's reply tree."""
+    if isinstance(graph, UserGraph):
+        kind, nodes, arcs = "user", graph.users, graph.edges
+    else:
         kind, nodes = "reply", graph.post_ids
         arcs = [(c, p) for c, p in enumerate(graph.parent_of) if p is not None]
-    else:
-        kind, nodes, arcs = "user", graph.users, graph.edges
     in_deg = [0] * len(nodes)
     out_deg = [0] * len(nodes)
     for u, v in arcs:

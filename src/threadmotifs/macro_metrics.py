@@ -12,7 +12,7 @@ from collections import deque
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import UndefinedMetricError
-from .graphs import ReplyGraph, UserGraph, build_reply_graph, build_user_graph
+from .graphs import UserGraph, build_user_graph
 from .thread_model import ThreadRecord
 
 if TYPE_CHECKING:
@@ -132,8 +132,8 @@ def _op_betweenness_exact(g: UserGraph) -> Fraction:
     return total + whole
 
 
-def branching_factor(r: ReplyGraph, mode: str = "internal") -> float:
-    """Average number of replies received per post.
+def branching_factor(thread: ThreadRecord, mode: str = "internal") -> float:
+    """Average number of replies received per post of the thread's reply tree.
 
     Mode "internal" averages over posts that received at least one reply,
     (N-1)/|replied-to posts|; mode "all" is the literal all-node average
@@ -141,10 +141,10 @@ def branching_factor(r: ReplyGraph, mode: str = "internal") -> float:
     """
     if mode not in BRANCHING_MODES:
         raise ValueError(f"unknown branching mode {mode!r}")
-    n = r.n_posts
+    n = thread.n_posts
     if mode == "all":
         return (n - 1) / n
-    internal = len({p for p in r.parent_of if p is not None})
+    internal = len({p for p in thread.parent_of if p is not None})
     if internal == 0:
         raise UndefinedMetricError("single-post thread has no replied-to posts")
     return (n - 1) / internal
@@ -169,13 +169,12 @@ def macro_record(thread: ThreadRecord, branching_mode: str = "internal") -> Macr
     posts) come back as None rather than aborting the corpus run.
     """
     ug = build_user_graph(thread)
-    rg = build_reply_graph(thread)
     try:
         resp = responsiveness_median(thread)
     except UndefinedMetricError:
         resp = None
     try:
-        bf = branching_factor(rg, branching_mode)
+        bf = branching_factor(thread, branching_mode)
     except UndefinedMetricError:
         bf = None
     return MacroRecord(

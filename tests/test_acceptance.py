@@ -17,7 +17,7 @@ import pytest
 from threadmotifs.cli import main
 from threadmotifs.errors import UndefinedMetricError
 from threadmotifs.expression_stats import classify_expression
-from threadmotifs.graphs import UserGraph, build_reply_graph, build_user_graph, degree_sequences
+from threadmotifs.graphs import UserGraph, build_user_graph, degree_sequences
 from threadmotifs.macro_metrics import (
     branching_factor,
     ecdf,
@@ -300,7 +300,6 @@ def test_10_metric_properties():
             for j in range(1, n):
                 parent = rng.choice(posts)[0]
                 posts.append((f"p{j}", parent, f"u{rng.randint(0, 9)}", j))
-            tree = build_reply_graph(make_thread(f"t{i}", "focus", posts))
-            assert branching_factor(tree, "all") == (n - 1) / n
+            assert branching_factor(make_thread(f"t{i}", "focus", posts), "all") == (n - 1) / n
         with pytest.raises(UndefinedMetricError):
             ecdf([])

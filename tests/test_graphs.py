@@ -1,15 +1,12 @@
-"""Reply-graph and user-graph construction plus degree reports."""
+"""The reply tree read from the thread, user-graph construction, and degree reports."""
 
 from __future__ import annotations
 
 import random
 
-from threadmotifs.graphs import (
-    build_reply_graph,
-    build_user_graph,
-    degree_sequences,
-)
-from threadmotifs.thread_model import ThreadRecord
+from threadmotifs.graphs import build_user_graph, degree_sequences
+from threadmotifs.macro_metrics import branching_factor
+from threadmotifs.thread_model import PostRecord, ThreadRecord
 
 from support import fig2_thread, make_thread, synth_corpus
 
@@ -19,17 +16,17 @@ def edge_names(g):
 
 
 class TestReplyGraph:
+    """The reply tree is the thread: its parent_of and root."""
+
     def test_star(self):
         thread = make_thread(
             "t",
             "focus",
             [("p0", None, "a", 0), ("p1", "p0", "b", 1), ("p2", "p0", "c", 2)],
         )
-        rg = build_reply_graph(thread)
-        assert rg.n_posts == 3
-        assert rg.n_edges == 2
-        assert rg.parent_of == (None, 0, 0)
-        assert rg.root == 0
+        assert thread.n_posts == 3
+        assert thread.parent_of == (None, 0, 0)
+        assert thread.root == 0
 
     def test_chain(self):
         thread = make_thread(
@@ -37,19 +34,17 @@ class TestReplyGraph:
             "focus",
             [("p0", None, "a", 0), ("p1", "p0", "b", 1), ("p2", "p1", "c", 2)],
         )
-        rg = build_reply_graph(thread)
-        assert rg.parent_of == (None, 0, 1)
+        assert thread.parent_of == (None, 0, 1)
 
     def test_fig2_root_in_degree(self):
-        rg = build_reply_graph(fig2_thread())
-        report = degree_sequences(rg)
-        assert report.in_degrees[rg.root] == 4
+        thread = fig2_thread()
+        report = degree_sequences(thread)
+        assert report.kind == "reply"
+        assert report.in_degrees[thread.root] == 4
 
     def test_tree_invariants_on_random_corpora(self):
         for thread in synth_corpus(30, "focus", reply_back_prob=0.5, seed=3):
-            rg = build_reply_graph(thread)
-            assert rg.n_edges == rg.n_posts - 1
-            assert sum(1 for p in rg.parent_of if p is None) == 1
+            assert sum(1 for p in thread.parent_of if p is None) == 1
 
 
 class TestUserGraph:
@@ -137,7 +132,8 @@ class TestDegreeSequences:
         posts = [("p0", None, "a", 0)] + [
             (f"p{i}", "p0", f"u{i}", i) for i in range(1, k + 1)
         ]
-        report = degree_sequences(build_reply_graph(make_thread("t", "focus", posts)))
+        report = degree_sequences(make_thread("t", "focus", posts))
+        assert report.kind == "reply"
         assert report.in_degrees[0] == k
         assert report.out_degrees[0] == 0
         assert set(report.out_degrees[1:]) == {1}
@@ -155,8 +151,41 @@ class TestDegreeSequences:
             report = degree_sequences(g)
             assert sum(report.in_degrees) == g.n_edges
             assert sum(report.out_degrees) == g.n_edges
-            report = degree_sequences(build_reply_graph(thread))
+            report = degree_sequences(thread)
             assert sum(report.in_degrees) == thread.n_posts - 1
             assert sum(report.out_degrees) == thread.n_posts - 1
             expected_out = [int(post != thread.root) for post in range(thread.n_posts)]
             assert list(report.out_degrees) == expected_out
+
+
+def reply_tree_oracle(thread):
+    """(in-degree, out-degree) of each post id, counted from thread.posts."""
+    posts = thread.posts
+    return {
+        post.id: (sum(1 for other in posts if other.parent == post.id), int(post.parent is not None))
+        for post in posts
+    }
+
+
+class TestReplyTreeFromThread:
+    def test_degrees_and_branching_match_posts_oracle(self):
+        corpus = synth_corpus(30, "focus", reply_back_prob=0.5, seed=3)
+        # The same trees with every reply listed before its parent, and the
+        # smallest such thread.
+        reversed_threads = [
+            ThreadRecord.from_posts(t.thread_id, t.source, t.posts[::-1]) for t in corpus
+        ]
+        forward = ThreadRecord.from_posts(
+            "fwd", "focus", [PostRecord("p1", "p0", "b", 1), PostRecord("p0", None, "a", 0)]
+        )
+        assert forward.parent_of == (1, None)
+        for thread in [*corpus, *reversed_threads, forward]:
+            oracle = reply_tree_oracle(thread)
+            report = degree_sequences(thread)
+            assert report.kind == "reply"
+            assert report.nodes == thread.post_ids
+            assert dict(zip(report.nodes, zip(report.in_degrees, report.out_degrees))) == oracle
+            n = thread.n_posts
+            replied_to = sum(1 for din, _ in oracle.values() if din)
+            assert branching_factor(thread, "internal") == (n - 1) / replied_to
+            assert branching_factor(thread, "all") == (n - 1) / n

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from threadmotifs.errors import UndefinedMetricError
-from threadmotifs.graphs import UserGraph, build_reply_graph, build_user_graph
+from threadmotifs.graphs import UserGraph, build_user_graph
 from threadmotifs.macro_metrics import (
     _op_betweenness_exact,
     branching_factor,
@@ -250,9 +250,9 @@ class TestBranchingFactor:
         posts = [("p0", None, "a", 0)] + [
             (f"p{i}", "p0", f"u{i}", i) for i in range(1, k + 1)
         ]
-        rg = build_reply_graph(make_thread("t", "focus", posts))
-        assert branching_factor(rg, "internal") == k
-        assert branching_factor(rg, "all") == k / (k + 1)
+        thread = make_thread("t", "focus", posts)
+        assert branching_factor(thread, "internal") == k
+        assert branching_factor(thread, "all") == k / (k + 1)
 
     def test_chain_of_four(self):
         posts = [
@@ -261,8 +261,7 @@ class TestBranchingFactor:
             ("p2", "p1", "c", 2),
             ("p3", "p2", "d", 3),
         ]
-        rg = build_reply_graph(make_thread("t", "focus", posts))
-        assert branching_factor(rg, "internal") == 1.0
+        assert branching_factor(make_thread("t", "focus", posts), "internal") == 1.0
 
     def test_two_internal_nodes(self):
         posts = [
@@ -271,25 +270,23 @@ class TestBranchingFactor:
             ("p2", "p0", "c", 2),
             ("p3", "p1", "d", 3),
         ]
-        rg = build_reply_graph(make_thread("t", "focus", posts))
-        assert branching_factor(rg, "internal") == 1.5
+        assert branching_factor(make_thread("t", "focus", posts), "internal") == 1.5
 
     def test_single_post_internal_undefined(self):
-        rg = build_reply_graph(make_thread("t", "focus", [("p0", None, "a", 0)]))
+        thread = make_thread("t", "focus", [("p0", None, "a", 0)])
         with pytest.raises(UndefinedMetricError):
-            branching_factor(rg, "internal")
-        assert branching_factor(rg, "all") == 0.0
+            branching_factor(thread, "internal")
+        assert branching_factor(thread, "all") == 0.0
 
     def test_unknown_mode_rejected(self):
-        rg = build_reply_graph(make_thread("t", "focus", [("p0", None, "a", 0)]))
+        thread = make_thread("t", "focus", [("p0", None, "a", 0)])
         with pytest.raises(ValueError):
-            branching_factor(rg, "mean")
+            branching_factor(thread, "mean")
 
     def test_all_mode_formula_on_random_trees(self):
         for thread in synth_corpus(40, "focus", reply_back_prob=0.5, seed=41):
-            rg = build_reply_graph(thread)
-            n = rg.n_posts
-            assert branching_factor(rg, "all") == (n - 1) / n
+            n = thread.n_posts
+            assert branching_factor(thread, "all") == (n - 1) / n
 
 
 class TestEcdf:

@@ -12,7 +12,6 @@ FIELDS = {
     tm.PostRecord: "id parent author t",
     tm.ThreadRecord: "thread_id source post_ids parent_of author_of timestamps users root",
     tm.FilterPolicy: "min_extra_posts drop_deleted_root deleted_sentinel",
-    tm.ReplyGraph: "post_ids timestamps parent_of root",
     tm.UserGraph: "users anchor edges",
     tm.DegreeReport: "kind nodes in_degrees out_degrees",
     tm.MacroRecord: (
