@@ -12,6 +12,9 @@ and 28 two-config orbits. Each class is named by the Holland-Leinhardt
 type of its underlying unanchored triad (mutual/asymmetric/null dyad
 counts plus a C/U/D/T modifier) and, where the anchor position splits a
 type into several variants, a trailing letter a/b/c.
+
+The names and canonical configs are data, ``_CLASSES``; the tests derive
+them from the naming rules and check each base type against networkx.
 """
 
 from __future__ import annotations
@@ -34,59 +37,33 @@ _UNLINKED_PAIRS = tuple(
 )
 
 TriadConfig = tuple[str, str, str]
-# The nodes of a config's three dyads, in order (0 = anchor, 1 = v, 2 = w).
-_PAIRS = ((0, 1), (0, 2), (1, 2))
 
-# Holland-Leinhardt triad types in their conventional order; class columns
-# follow this order, then the variant letter.
-BASE_TYPES = (
-    "003", "012", "102", "021D", "021U", "021C", "111D", "111U",
-    "030T", "030C", "201", "120D", "120U", "120C", "210", "300",
+# The 36 classes in column order, each with its canonical config: the first
+# two columns of `threadmotifs classes`.
+_CLASSES = (
+    ("003", "NNN"),
+    ("012-a", "NNO"), ("012-b", "NIN"), ("012-c", "NON"),
+    ("102-a", "NNM"), ("102-b", "NMN"),
+    ("021D-a", "NII"), ("021D-b", "OON"),
+    ("021U-a", "IIN"), ("021U-b", "NOO"),
+    ("021C-a", "NOI"), ("021C-b", "NIO"), ("021C-c", "OIN"),
+    ("111D-a", "NOM"), ("111D-b", "IMN"), ("111D-c", "NMO"),
+    ("111U-a", "NIM"), ("111U-b", "NMI"), ("111U-c", "OMN"),
+    ("030T-a", "OOO"), ("030T-b", "OII"), ("030T-c", "IIO"),
+    ("030C", "OIO"),
+    ("201-a", "NMM"), ("201-b", "MMN"),
+    ("120D-a", "OOM"), ("120D-b", "IMO"),
+    ("120U-a", "OMI"), ("120U-b", "IIM"),
+    ("120C-a", "OIM"), ("120C-b", "OMO"), ("120C-c", "IMI"),
+    ("210-a", "OMM"), ("210-b", "IMM"), ("210-c", "MMO"),
+    ("300", "MMM"),
 )
-
-# Fixed letter assignments, applied before the deterministic sweep: the
-# variants where every arrowhead meets at the anchor, and the lone-edge
-# variant pointing into the anchor. Keys are canonical orbit representatives.
-_PINNED_LETTERS: dict[TriadConfig, str] = {
-    ("I", "I", "N"): "a",  # 021U: anchor receives from both peers
-    ("M", "M", "N"): "b",  # 201: anchor centers two mutual dyads
-    ("I", "M", "N"): "b",  # 111D: anchor holds the mutual and takes the extra edge
-    ("N", "I", "N"): "b",  # 012: the single edge points into the anchor
-}
 
 
 def _swap_config(config: TriadConfig) -> TriadConfig:
     """The same triad with the two non-anchor nodes exchanged."""
     d1, d2, d3 = config
     return (d2, d1, _FLIP[d3])
-
-
-def _config_key(config: TriadConfig) -> tuple[int, int, int]:
-    return tuple(map(DYAD_CODES.index, config))  # type: ignore[return-value]
-
-
-def base_type_name(config: TriadConfig) -> str:
-    """Holland-Leinhardt type of the unanchored triad underlying a config."""
-    m = config.count("M")
-    a = config.count("O") + config.count("I")
-    base = f"{m}{a}{3 - m - a}"
-    if base not in ("021", "030", "111", "120"):
-        return base
-    # The (tail, head) of each asymmetric dyad.
-    tails, heads = zip(*(
-        (x, y) if d == "O" else (y, x)
-        for (x, y), d in zip(_PAIRS, config)
-        if d in ("O", "I")
-    ))
-    if base == "030":
-        return "030C" if len(set(tails)) == 3 else "030T"
-    if base == "111":
-        return "111D" if heads[0] in _PAIRS[config.index("M")] else "111U"
-    if tails[0] == tails[1]:
-        return base + "D"
-    if heads[0] == heads[1]:
-        return base + "U"
-    return base + "C"
 
 
 class AnchoredTriadClass(NamedTuple):
@@ -123,41 +100,18 @@ class ClassTable(NamedTuple):
 
 @lru_cache(maxsize=1)
 def get_class_table() -> ClassTable:
-    """The 36 named swap orbits of the 64 configs, built once; do not mutate.
-
-    The canonical orbit representative is the lexicographic minimum under
-    N < O < I < M. Within each base type, pinned letters are honored first
-    and the remaining variants take the remaining letters in ascending
-    canonical-config order; single-variant types carry no letter. The
-    mutual/asymmetric/null counts are the digits of the base type's name.
-    """
-    # itertools.product yields configs in N < O < I < M order, so each base
-    # type's orbits are keyed by canonical config in ascending order.
-    orbits: dict[str, dict[TriadConfig, tuple[TriadConfig, ...]]] = {b: {} for b in BASE_TYPES}
-    for config in itertools.product(DYAD_CODES, repeat=3):
-        members = tuple(sorted({config, _swap_config(config)}, key=_config_key))
-        if members[0] == config:
-            orbits[base_type_name(config)][config] = members
-
+    """The 36 classes of ``_CLASSES``, built once; do not mutate. A class holds
+    its canonical config, then its swap when that differs."""
     classes: list[AnchoredTriadClass] = []
     config_index: dict[TriadConfig, int] = {}
-    name_index: dict[str, int] = {}
-    for base, group in orbits.items():
-        pins = [_PINNED_LETTERS.get(canonical) for canonical in group]
-        free = iter(sorted(set("abc"[: len(group)]).difference(pins)))
-        letters = [pin or next(free) for pin in pins]
-        for letter, members in sorted(zip(letters, group.values())):
-            cls = AnchoredTriadClass(
-                index=len(classes),
-                name=f"{base}-{letter}" if len(group) > 1 else base,
-                base=base,
-                configs=members,
-                man_counts=tuple(int(digit) for digit in base[:3]),
-            )
-            name_index[cls.name] = cls.index
-            for member in members:
-                config_index[member] = cls.index
-            classes.append(cls)
+    for index, (name, canonical) in enumerate(_CLASSES):
+        config = tuple(canonical)
+        members = tuple(dict.fromkeys((config, _swap_config(config))))
+        base = name.split("-")[0]
+        man_counts = tuple(int(digit) for digit in base[:3])
+        classes.append(AnchoredTriadClass(index, name, base, members, man_counts))
+        config_index.update(dict.fromkeys(members, index))
+    name_index = {cls.name: cls.index for cls in classes}
     return ClassTable(tuple(classes), config_index, name_index)
 
 

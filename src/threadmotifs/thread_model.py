@@ -105,8 +105,9 @@ def _index_thread(
     Faults are reported in this order: the thread's fields, no posts, each
     post's fields in post order, a duplicate id (the first in post order),
     the root count, an unknown parent (the first in post order), a cycle, a
-    lone surrogate. A field fault is a ``CorpusParseError`` when the thread
-    came from line ``line_no``, else a ``ThreadValidationError``.
+    lone surrogate, a carriage return. A field fault is a
+    ``CorpusParseError`` when the thread came from line ``line_no``, else a
+    ``ThreadValidationError``.
     """
 
     def fail(message: str):
@@ -198,13 +199,16 @@ def _index_thread(
         if reached != len(ids):
             fail("parent links contain a cycle")
     users = tuple(user_index)
-    # json.loads turns an escape such as "\ud800" into a lone surrogate, which
-    # no UTF-8 output can hold. (Joining never pairs surrogates up.)
+    # json.loads turns the escape "\ud800" into a lone surrogate, which no
+    # UTF-8 output can hold (joining never pairs surrogates up), and "\r" into
+    # a carriage return, which the CSV writer leaves unquoted.
+    text = "".join((thread_id, *ids, *users))
     try:
-        for text in (thread_id, source, "".join(ids), "".join(users)):
-            text.encode()
+        text.encode()
     except UnicodeEncodeError:
         fail("text holds a lone surrogate, which UTF-8 cannot encode")
+    if "\r" in text:
+        fail("text holds a carriage return, which would split a CSV row")
     return ThreadRecord(
         thread_id, source, ids, tuple(parent_of), tuple(author_of), tuple(timestamps),
         users, roots[0],

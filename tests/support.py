@@ -15,7 +15,7 @@ from pathlib import Path
 import threadmotifs
 from threadmotifs.errors import CorpusParseError, ThreadValidationError
 from threadmotifs.graphs import UserGraph
-from threadmotifs.motif_census import AnchoredTriadClass, ClassTable, TriadConfig
+from threadmotifs.motif_census import DYAD_CODES, AnchoredTriadClass, ClassTable, TriadConfig
 from threadmotifs.thread_model import SOURCES, PostRecord, ThreadRecord
 
 
@@ -46,6 +46,96 @@ def run_python(script, *args, timeout=60):
         [sys.executable, "-c", script, *map(str, args)],
         env=env, capture_output=True, text=True, timeout=timeout,
     )
+
+
+# The naming rules of the 36 anchored triad classes, which motif_census holds
+# as data: class_table_oracle derives the table from them.
+_FLIP = {"N": "N", "O": "I", "I": "O", "M": "M"}
+# The nodes of a config's three dyads, in order (0 = anchor, 1 = v, 2 = w).
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+# Holland-Leinhardt triad types in their conventional order; class columns
+# follow this order, then the variant letter.
+BASE_TYPES = (
+    "003", "012", "102", "021D", "021U", "021C", "111D", "111U",
+    "030T", "030C", "201", "120D", "120U", "120C", "210", "300",
+)
+# Fixed letter assignments, applied before the deterministic sweep: the
+# variants where every arrowhead meets at the anchor, and the lone-edge
+# variant pointing into the anchor. Keys are canonical orbit representatives.
+_PINNED_LETTERS: dict[TriadConfig, str] = {
+    ("I", "I", "N"): "a",  # 021U: anchor receives from both peers
+    ("M", "M", "N"): "b",  # 201: anchor centers two mutual dyads
+    ("I", "M", "N"): "b",  # 111D: anchor holds the mutual and takes the extra edge
+    ("N", "I", "N"): "b",  # 012: the single edge points into the anchor
+}
+
+
+def base_type_name(config: TriadConfig) -> str:
+    """Holland-Leinhardt type of the unanchored triad underlying a config."""
+    m = config.count("M")
+    a = config.count("O") + config.count("I")
+    base = f"{m}{a}{3 - m - a}"
+    if base not in ("021", "030", "111", "120"):
+        return base
+    # The (tail, head) of each asymmetric dyad.
+    tails, heads = zip(*(
+        (x, y) if d == "O" else (y, x)
+        for (x, y), d in zip(_PAIRS, config)
+        if d in ("O", "I")
+    ))
+    if base == "030":
+        return "030C" if len(set(tails)) == 3 else "030T"
+    if base == "111":
+        return "111D" if heads[0] in _PAIRS[config.index("M")] else "111U"
+    if tails[0] == tails[1]:
+        return base + "D"
+    if heads[0] == heads[1]:
+        return base + "U"
+    return base + "C"
+
+
+def class_table_oracle() -> ClassTable:
+    """The class table derived from the naming rules.
+
+    The 64 configs fall into swap orbits, (d1, d2, d3) <-> (d2, d1,
+    flip(d3)), each represented by its lexicographic minimum under
+    N < O < I < M. Within each base type, pinned letters are honored first
+    and the remaining variants take the remaining letters in ascending
+    canonical-config order; single-variant types carry no letter. The
+    mutual/asymmetric/null counts are the digits of the base type's name.
+    """
+    def key(config):
+        return tuple(map(DYAD_CODES.index, config))
+
+    # itertools.product yields configs in N < O < I < M order, so each base
+    # type's orbits are keyed by canonical config in ascending order.
+    orbits: dict[str, dict] = {b: {} for b in BASE_TYPES}
+    for config in itertools.product(DYAD_CODES, repeat=3):
+        d1, d2, d3 = config
+        members = tuple(sorted({config, (d2, d1, _FLIP[d3])}, key=key))
+        if members[0] == config:
+            orbits[base_type_name(config)][config] = members
+
+    classes: list[AnchoredTriadClass] = []
+    config_index: dict[TriadConfig, int] = {}
+    name_index: dict[str, int] = {}
+    for base, group in orbits.items():
+        pins = [_PINNED_LETTERS.get(canonical) for canonical in group]
+        free = iter(sorted(set("abc"[: len(group)]).difference(pins)))
+        letters = [pin or next(free) for pin in pins]
+        for letter, members in sorted(zip(letters, group.values())):
+            cls = AnchoredTriadClass(
+                index=len(classes),
+                name=f"{base}-{letter}" if len(group) > 1 else base,
+                base=base,
+                configs=members,
+                man_counts=tuple(int(digit) for digit in base[:3]),
+            )
+            name_index[cls.name] = cls.index
+            for member in members:
+                config_index[member] = cls.index
+            classes.append(cls)
+    return ClassTable(tuple(classes), config_index, name_index)
 
 
 def class_of(table: ClassTable, config: TriadConfig) -> AnchoredTriadClass:
@@ -210,11 +300,14 @@ def _index_oracle(thread_id, source, posts, line_no) -> ThreadRecord:
     user_index: dict[str, int] = {}
     author_of = tuple(user_index.setdefault(a, len(user_index)) for a in authors)
     users = tuple(user_index)
-    try:
-        for text in (thread_id, source, "".join(ids), "".join(users)):
+    texts = (thread_id, *ids, *users)
+    for text in texts:
+        try:
             text.encode()
-    except UnicodeEncodeError:
-        fail("text holds a lone surrogate, which UTF-8 cannot encode")
+        except UnicodeEncodeError:
+            fail("text holds a lone surrogate, which UTF-8 cannot encode")
+    if any("\r" in text for text in texts):
+        fail("text holds a carriage return, which would split a CSV row")
     return ThreadRecord(
         thread_id, source, ids, tuple(parent_of), author_of, timestamps, users, roots[0]
     )

@@ -19,9 +19,12 @@ from hypothesis import strategies as st
 
 from threadmotifs import cli, motif_census
 from threadmotifs.cli import census_header, main
+from threadmotifs.errors import ThreadValidationError
 from threadmotifs.expression_stats import BinSpec
 from threadmotifs.graphs import build_user_graph
+from threadmotifs.macro_metrics import lower_median
 from threadmotifs.motif_census import census_naive, get_class_table
+from threadmotifs.thread_model import parse_thread_line
 
 from support import fig2_thread, make_thread, run_python, synth_corpus, to_json_line
 
@@ -1076,6 +1079,15 @@ HOSTILE_LINES = {
         to_json_line(filler_thread("t-author")).replace('"root"', '"\\udc80x"').encode(),
         "thread 't-author': text holds a lone surrogate, which UTF-8 cannot encode",
     ),
+    # Valid JSON whose "\r" escapes decode to text the CSV writer leaves unquoted.
+    "carriage-return": (
+        to_json_line(filler_thread("cr")).replace('"cr"', '"a\\rb"').encode(),
+        "thread 'a\\rb': text holds a carriage return, which would split a CSV row",
+    ),
+    "carriage-return-author": (
+        to_json_line(filler_thread("t-cr")).replace('"root"', '"r\\r"').encode(),
+        "thread 't-cr': text holds a carriage return, which would split a CSV row",
+    ),
 }
 CORPUS_COMMANDS = (["census"], ["macro"], ["degrees"], ["timing", "201-b"])
 
@@ -1127,6 +1139,110 @@ class TestHostileCensusFile:
     def test_oversized_field_is_input_error(self, tmp_path, capsys):
         bad, error = self.compare(tmp_path, capsys, b"t2,focus,3," + b"9" * 200_000 + b"\n")
         assert error == f"error: line 3: {bad}: bad CSV (field larger than field limit (131072))"
+
+
+# Text that a CSV row must quote (",", '"', "\n") or cannot hold ("\r").
+SPECIAL_TEXTS = ("a,b", 'a"b', "a\nb", "a\rb")
+
+
+def special_line(thread_id: str, text: str) -> str:
+    """A corpus line of eleven posts whose ids and authors hold ``text``: five
+    replies to the root, each answered by the root's author."""
+    op = f"op{text}"
+    posts = [{"id": f"{text}0", "parent": None, "author": op, "t": 0}]
+    for i in range(1, 6):
+        posts.append({"id": f"{text}{i}", "parent": f"{text}0", "author": f"{text}{i}", "t": i})
+        posts.append({"id": f"r{text}{i}", "parent": f"{text}{i}", "author": op, "t": 10 + i})
+    return json.dumps({"thread_id": thread_id, "source": "focus", "posts": posts})
+
+
+_special_texts = st.text(st.sampled_from('ab,"\n\r\u00e9'), min_size=1, max_size=3)
+
+
+@st.composite
+def special_threads(draw):
+    """A corpus line of a reply tree whose thread id, post ids and authors
+    are short texts of letters, ",", '"', "\n" and "\r"."""
+    n = draw(st.integers(1, 8))
+    ids = draw(st.lists(_special_texts, min_size=n, max_size=n, unique=True))
+    authors = draw(st.lists(_special_texts, min_size=1, max_size=3, unique=True))
+    posts = [
+        {
+            "id": ids[i],
+            "parent": None if i == 0 else ids[draw(st.integers(0, i - 1))],
+            "author": draw(st.sampled_from(authors)),
+            "t": draw(st.integers(0, 9)),
+        }
+        for i in range(n)
+    ]
+    return json.dumps({"thread_id": draw(_special_texts), "source": "focus", "posts": posts})
+
+
+class TestSpecialText:
+    """Corpus text reaches the CSV files whole, or its thread is skipped."""
+
+    def test_census_compare_round_trip(self, tmp_path, monkeypatch, capsys):
+        lines = []
+        for i, text in enumerate(SPECIAL_TEXTS):
+            lines += [special_line(text, "p"), special_line(f"t{i}", text)]
+        corpus = tmp_path / "special.jsonl"
+        corpus.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        monkeypatch.setattr(cli, "BATCH_BYTES", 1)  # one line per batch
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        runs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"j{jobs}"
+            assert main(["census", "--input", str(corpus), "--out", str(out), "--jobs", jobs]) == 0
+            census_err = capsys.readouterr().err
+            census = out / "census.csv"
+            argv = ["compare", "--focus", str(census), "--baseline", str(census)]
+            assert main([*argv, "--out", str(out / "cmp")]) == 0
+            compare_err = capsys.readouterr().err
+            files = [census, out / "cmp" / "compare.csv", out / "cmp" / "expression_summary.csv"]
+            runs.append(([f.read_bytes() for f in files], census_err, compare_err))
+        assert runs[0] == runs[1]
+        census_err, compare_err = runs[0][1:]
+        reason = "text holds a carriage return, which would split a CSV row"
+        assert census_err.count("carriage return") == 2
+        assert f"warning: skipped line 7: thread 'a\\rb': {reason}\n" in census_err
+        assert f"warning: skipped line 8: thread 't3': {reason}\n" in census_err
+        rows = read_rows(tmp_path / "j1" / "census.csv")
+        assert [row[0] for row in rows[1:]] == ["a,b", "t0", 'a"b', "t1", "a\nb", "t2"]
+        assert {len(row) for row in rows} == {4 + 36}
+        # The baseline side's rows all say focus.
+        assert compare_err == "warning: 6 of 6 row(s) in the baseline census have another source\n"
+
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(line=special_threads())
+    @example(line=special_line("a\rb", "p"))
+    @example(line=special_line("t", "\r"))
+    def test_written_rows_read_back_whole(self, tmp_path, capsys, line):
+        try:
+            thread = parse_thread_line(line)
+        except ThreadValidationError:
+            return
+        timed = cli._timing_rows(thread, "201-b")
+        timing = [[*r[:4], cli._fmt(r[4])] for r in timed]
+        if timed:
+            timing.append(["median", "", "", "", cli._fmt(lower_median([r[4] for r in timed]))])
+        expected = {
+            "census": [list(map(str, r)) for r in cli._census_rows(thread, BinSpec(), BinSpec().labels)],
+            "degrees": [list(map(str, r)) for r in cli._degree_rows(thread)],
+            "timing": timing,
+        }
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(line + "\n", encoding="utf-8")
+        for command, name in (
+            (["census"], "census"), (["degrees"], "degrees"), (["timing", "201-b"], "timing")
+        ):
+            out = tmp_path / name
+            argv = [*command, "--input", str(corpus), "--out", str(out)]
+            assert main([*argv, "--min-extra-posts", "0", "--jobs", "1"]) == 0
+            assert read_rows(out / f"{name}.csv")[1:] == expected[name]
+        capsys.readouterr()
 
 
 # Fuzz strategies. Corpus lines are raw bytes, near-valid threads (whose

@@ -23,7 +23,9 @@ from threadmotifs.motif_census import (
 )
 
 from support import (
+    base_type_name,
     class_of,
+    class_table_oracle,
     completion_oracle,
     dyad_code,
     fig2_thread,
@@ -200,6 +202,14 @@ class TestClassTable:
         for config in ALL_CONFIGS:
             cls = class_of(TABLE, config)
             assert cls.base == nx.triads.triad_type(triad_digraph(config))
+            assert base_type_name(config) == cls.base
+
+    def test_table_data_follows_the_naming_rules(self):
+        # The table is held as data; the oracle derives it from the rules.
+        table, derived = get_class_table.__wrapped__(), class_table_oracle()
+        assert table.classes == derived.classes
+        assert list(table.config_index.items()) == list(derived.config_index.items())
+        assert list(table.name_index.items()) == list(derived.name_index.items())
 
     def test_empty_triad_class(self):
         assert class_of(TABLE, ("N", "N", "N")).name == "003"

@@ -118,6 +118,16 @@ class TestParse:
         with pytest.raises(ThreadValidationError, match="lone surrogate"):
             make_thread(thread_id, "focus", posts)
 
+    @pytest.mark.parametrize(
+        "thread_id, root_id, author",
+        [("a\rb", "p0", "a"), ("t", "p\r", "a"), ("t", "p0", "\r\nx")],
+        ids=["thread-id", "post-id", "author"],
+    )
+    def test_carriage_return_rejected(self, thread_id, root_id, author):
+        posts = [(root_id, None, author, 0), ("p1", root_id, "b", 5)]
+        with pytest.raises(ThreadValidationError, match="carriage return"):
+            make_thread(thread_id, "focus", posts)
+
     def test_unknown_source_rejected(self):
         with pytest.raises(CorpusParseError, match="source"):
             parse_thread_line(thread_json(source="other"))
@@ -184,13 +194,13 @@ ODD_VALUES = st.sampled_from(
 def corpus_lines(draw):
     """Lines that are mostly trees in shuffled post order, some with faults:
     bad or missing fields, posts that are not objects, repeated or unknown
-    ids, extra roots, cycles and lone surrogates."""
+    ids, extra roots, cycles, lone surrogates and carriage returns."""
     n = draw(st.integers(0, 6))
     posts = [
         {
             "id": f"p{i}",
             "parent": None if i == 0 else f"p{draw(st.integers(0, i - 1))}",
-            "author": draw(st.sampled_from(["a", "b", "c", "\udc80"])),
+            "author": draw(st.sampled_from(["a", "b", "c", "\udc80", "\r"])),
             "t": draw(st.integers(-3, 3)),
         }
         for i in range(n)
@@ -209,7 +219,7 @@ def corpus_lines(draw):
             else:
                 posts[i][key] = draw(ODD_VALUES)
     thread = {
-        "thread_id": draw(st.sampled_from(["t"] * 6 + ["", "t\ud800", 7])),
+        "thread_id": draw(st.sampled_from(["t"] * 6 + ["", "t\ud800", "t\r", 7])),
         "source": draw(st.sampled_from(["focus"] * 3 + ["baseline"] * 3 + ["other"])),
         "posts": posts,
     }
