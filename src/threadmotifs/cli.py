@@ -368,65 +368,64 @@ def cmd_census(args: Namespace) -> None:
     _write_csv(args.out / "census.csv", header, rows)
 
 
-def _csv_rows(path: Path, fh) -> Iterator[list[str]]:
-    """The rows of an open CSV file; text not UTF-8 or not CSV is an input error."""
-    reader = csv.reader(fh)
-    try:
-        yield from reader
-    except UnicodeDecodeError as err:
-        where = f"{path}: invalid UTF-8 ({err.reason}) on this line or a later one"
-        raise CorpusParseError(reader.line_num + 1, where) from None
-    except csv.Error as err:
-        raise CorpusParseError(reader.line_num, f"{path}: bad CSV ({err})") from None
-
-
 def read_census_csv(path: Path, class_names: Sequence[str], source: str) -> list[MotifCensus]:
     """Load censuses back from a census.csv, enforcing the exact schema.
 
-    Every row's counts must be non-negative and sum to C(n_users - 1, 2), as
-    a census's do. ``n_users`` must be below 2**63, as the corpus timestamps
-    are, so every count and every square of one is a finite float.
+    Every row must have the header's width, and its counts must be
+    non-negative and sum to C(n_users - 1, 2), as a census's do. ``n_users``
+    must be below 2**63, as the corpus timestamps are, so every count and
+    every square of one is a finite float. A fault, text that is not UTF-8
+    or not CSV included, names the line its row starts on, where a newline
+    quoted in a field counts as a line.
     One warning on stderr counts the rows whose source column differs from
     ``source``; those rows are still loaded.
     """
     expected = census_header(class_names)
+    censuses = []
+    strays = 0
+    line_no = 1  # the line the next row starts on
     with open(path, encoding="utf-8") as fh:
-        rows = _csv_rows(path, fh)
-        header = next(rows, None)
-        if header != expected:
-            got = header or []
-            for i, want in enumerate(expected):
-                have = got[i] if i < len(got) else "<missing>"
-                if have != want:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            if header != expected:
+                for i, want in enumerate(expected):
+                    have = header[i] if i < len(header) else "<missing>"
+                    if have != want:
+                        raise CorpusParseError(
+                            line_no,
+                            f"{path}: census schema mismatch at column {i + 1}: "
+                            f"found {have!r}, expected {want!r}",
+                        )
+                raise CorpusParseError(line_no, f"{path}: census schema has extra columns")
+            line_no = reader.line_num + 1
+            for row in reader:
+                if len(row) != len(expected):
+                    raise CorpusParseError(line_no, f"{path}: bad census row width")
+                try:
+                    n_users = int(row[2])
+                    counts = tuple(map(int, row[4:]))
+                except ValueError as err:
+                    raise CorpusParseError(line_no, f"{path}: bad census row ({err})")
+                if min(counts) < 0:
+                    raise CorpusParseError(line_no, f"{path}: negative class count")
+                if n_users >= 2**63:
+                    raise CorpusParseError(line_no, f"{path}: n_users must be below 2**63")
+                if n_users < 1 or sum(counts) != math.comb(n_users - 1, 2):
                     raise CorpusParseError(
-                        1,
-                        f"{path}: census schema mismatch at column {i + 1}: "
-                        f"found {have!r}, expected {want!r}",
+                        line_no,
+                        f"{path}: census counts sum to {sum(counts)}, "
+                        f"not C(n_users - 1, 2) for n_users = {n_users}",
                     )
-            raise CorpusParseError(1, f"{path}: census schema has extra columns")
-        censuses = []
-        strays = 0
-        for line_no, row in enumerate(rows, start=2):
-            try:
-                n_users = int(row[2])
-                counts = tuple(map(int, row[4:]))
-            except (IndexError, ValueError) as err:
-                raise CorpusParseError(line_no, f"{path}: bad census row ({err})")
-            if len(counts) != len(class_names):
-                raise CorpusParseError(line_no, f"{path}: bad census row width")
-            if min(counts) < 0:
-                raise CorpusParseError(line_no, f"{path}: negative class count")
-            if n_users >= 2**63:
-                raise CorpusParseError(line_no, f"{path}: n_users must be below 2**63")
-            if n_users < 1 or sum(counts) != math.comb(n_users - 1, 2):
-                raise CorpusParseError(
-                    line_no,
-                    f"{path}: census counts sum to {sum(counts)}, "
-                    f"not C(n_users - 1, 2) for n_users = {n_users}",
-                )
-            censuses.append(MotifCensus(counts, n_users))
-            if row[1] != source:
-                strays += 1
+                censuses.append(MotifCensus(counts, n_users))
+                if row[1] != source:
+                    strays += 1
+                line_no = reader.line_num + 1
+        except UnicodeDecodeError as err:
+            where = f"{path}: invalid UTF-8 ({err.reason}) on this line or a later one"
+            raise CorpusParseError(line_no, where) from None
+        except csv.Error as err:
+            raise CorpusParseError(line_no, f"{path}: bad CSV ({err})") from None
     if strays:
         _diag(
             f"warning: {strays} of {len(censuses)} row(s) in the {source} census "

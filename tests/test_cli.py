@@ -1141,6 +1141,57 @@ class TestHostileCensusFile:
         assert error == f"error: line 3: {bad}: bad CSV (field larger than field limit (131072))"
 
 
+class TestCensusFileLineNumbers:
+    """A census-file fault names the line its row starts on, where a newline
+    quoted in a thread id counts as a line."""
+
+    def compare(self, tmp_path, capsys, edit):
+        """Run compare on an edited census of the threads "a\nb" and "t2", as
+        focus and as baseline, and return its one error line and the file.
+
+        ``edit`` gets the file's lines: the header, the "a\nb" row on lines 2
+        and 3, t2's row on line 4 and the empty text after the last newline.
+        """
+        posts = [("p0", None, "a", 0), ("p1", "p0", "b", 1), ("p2", "p0", "c", 2)]
+        threads = [make_thread(tid, "focus", posts) for tid in ("a\nb", "t2")]
+        census = run_census(tmp_path, "c", threads, "--min-extra-posts", "0")
+        lines = census.read_text(encoding="utf-8").split("\n")
+        assert [line[:11] for line in lines[1:]] == ['"a', 'b",focus,3,', "t2,focus,3,", ""]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(edit(lines)), encoding="utf-8")
+        capsys.readouterr()
+        for focus, baseline in ((bad, census), (census, bad)):
+            code = main(
+                ["compare", "--focus", str(focus), "--baseline", str(baseline),
+                 "--out", str(tmp_path / "cmp")]
+            )
+            assert code == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2 and errors[0] == errors[1]
+        return bad, errors[0]
+
+    def test_bad_sum_after_a_quoted_newline_names_its_line(self, tmp_path, capsys):
+        def edit(lines):
+            return [*lines[:3], lines[3].replace("t2,focus,3,", "t2,focus,4,", 1), *lines[4:]]
+
+        bad, error = self.compare(tmp_path, capsys, edit)
+        assert error == (
+            f"error: line 4: {bad}: census counts sum to 1, "
+            "not C(n_users - 1, 2) for n_users = 4"
+        )
+
+    def test_trailing_blank_line_is_a_width_error(self, tmp_path, capsys):
+        bad, error = self.compare(tmp_path, capsys, lambda lines: [*lines, ""])
+        assert error == f"error: line 5: {bad}: bad census row width"
+
+    def test_short_row_after_a_quoted_newline_is_a_width_error(self, tmp_path, capsys):
+        def edit(lines):
+            return [*lines[:3], "t3,focus", *lines[3:]]
+
+        bad, error = self.compare(tmp_path, capsys, edit)
+        assert error == f"error: line 4: {bad}: bad census row width"
+
+
 # Text that a CSV row must quote (",", '"', "\n") or cannot hold ("\r").
 SPECIAL_TEXTS = ("a,b", 'a"b', "a\nb", "a\rb")
 
