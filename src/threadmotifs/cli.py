@@ -54,10 +54,10 @@ COMPARE_HEADER = (
     "bin,class,M,mu_null,sigma_null,se_null,N,mean_focus,sigma_focus,se_focus,"
     "z,label,reason"
 ).split(",")
-# Corpus bytes per batch. Each batch of lines is parsed, filtered and turned
-# into rows in one step (in a worker at --jobs > 1), so no process ever holds
-# more than one batch of threads, and a batch is big enough that sending its
-# rows costs little next to parsing it.
+# Corpus bytes per batch. Each line of a batch is parsed, filtered and turned
+# into rows before the next (in a worker at --jobs > 1), so a process holds one
+# parsed thread at a time, and a batch is big enough that sending its rows
+# costs little next to parsing it.
 BATCH_BYTES = 64 * 1024
 
 
@@ -134,17 +134,13 @@ def _batch_rows(
     number, thread id, rows) triple for a valid thread, with rows None when
     the filter drops it.
     """
-    events: list = []  # errors and (line number, thread) pairs, in input order
-    for numbered in parse_numbered(data.splitlines(), events.append, first_line):
-        events.append(numbered)
-    threads = [e[1] for e in events if isinstance(e, tuple)]
-    kept = {id(t) for t in filter_corpus(threads, policy)}
-    return [
-        (e[0], e[1].thread_id, row_fn(e[1]) if id(e[1]) in kept else None)
-        if isinstance(e, tuple)
-        else str(e)
-        for e in events
-    ]
+    items: list = []
+    for line_no, thread in parse_numbered(
+        data.splitlines(), lambda err: items.append(str(err)), first_line
+    ):
+        rows = row_fn(thread) if filter_corpus([thread], policy) else None
+        items.append((line_no, thread.thread_id, rows))
+    return items
 
 
 def _thread_rows(
@@ -170,7 +166,33 @@ def _thread_rows(
         results = _ordered_map(batch_rows, batches, args.jobs)
     else:
         results = itertools.starmap(batch_rows, batches)
-    yield from _merge_batches(results)
+    skipped = parsed = kept = 0
+    first_line_of: dict[str, int] = {}
+    for items in results:
+        for item in items:
+            if isinstance(item, str):
+                _diag(f"warning: skipped {item}")
+                skipped += 1
+                continue
+            line_no, thread_id, rows = item
+            first = first_line_of.setdefault(thread_id, line_no)
+            if first != line_no:
+                _diag(
+                    f"warning: skipped line {line_no}: duplicate thread_id "
+                    f"{thread_id!r} (first on line {first})"
+                )
+                skipped += 1
+                continue
+            parsed += 1
+            if rows is not None:
+                kept += 1
+                yield rows
+    if skipped:
+        _diag(f"warning: {skipped} malformed line(s)/thread(s) skipped")
+    if parsed > kept:
+        _diag(f"info: filter dropped {parsed - kept} of {parsed} threads")
+    if not kept:
+        _diag("warning: no threads remain after filtering")
 
 
 def _serve(fn: Callable, conn, parent_ends: list) -> None:
@@ -220,7 +242,6 @@ def _ordered_map(fn: Callable, items: Iterable[tuple], jobs: int) -> Iterator:
 
     todo = enumerate(items)
     workers = {}  # parent end -> its worker process
-    idle = []  # parent ends of the workers that hold no item
     held = {}  # parent end -> index of the item its worker holds
     done = {}  # index -> (ok, result) of items finished but not yet yielded
     yielded = 0
@@ -228,11 +249,12 @@ def _ordered_map(fn: Callable, items: Iterable[tuple], jobs: int) -> Iterator:
         while True:
             # Send items out before yielding, so workers compute while the
             # caller consumes a result.
-            while idle or len(workers) < jobs:
+            while len(held) < jobs:
                 index, item = next(todo, (None, None))
                 if index is None:
                     break
-                if not idle:
+                conn = next((end for end in workers if end not in held), None)
+                if conn is None:
                     conn, child_end = multiprocessing.Pipe()
                     worker = multiprocessing.Process(
                         target=_serve, args=(fn, child_end, [*workers, conn])
@@ -241,8 +263,6 @@ def _ordered_map(fn: Callable, items: Iterable[tuple], jobs: int) -> Iterator:
                     # Now only the worker holds its end, so its exit reads as EOF.
                     child_end.close()
                     workers[conn] = worker
-                    idle.append(conn)
-                conn = idle.pop()
                 try:
                     conn.send(item)
                 except OSError:  # the worker is gone
@@ -262,45 +282,12 @@ def _ordered_map(fn: Callable, items: Iterable[tuple], jobs: int) -> Iterator:
                         done[held.pop(conn)] = conn.recv()
                     except (EOFError, OSError):  # the worker is gone
                         raise _exited(workers[conn]) from None
-                    idle.append(conn)
     finally:
         for conn, worker in workers.items():
             conn.close()
             worker.terminate()
         for worker in workers.values():
             worker.join()
-
-
-def _merge_batches(results: Iterable[list]) -> Iterator[list]:
-    """Report _batch_rows results on stderr, drop duplicate ids and yield each
-    kept thread's rows."""
-    skipped = parsed = kept = 0
-    first_line_of: dict[str, int] = {}
-    for items in results:
-        for item in items:
-            if isinstance(item, str):
-                _diag(f"warning: skipped {item}")
-                skipped += 1
-                continue
-            line_no, thread_id, rows = item
-            first = first_line_of.setdefault(thread_id, line_no)
-            if first != line_no:
-                _diag(
-                    f"warning: skipped line {line_no}: duplicate thread_id "
-                    f"{thread_id!r} (first on line {first})"
-                )
-                skipped += 1
-                continue
-            parsed += 1
-            if rows is not None:
-                kept += 1
-                yield rows
-    if skipped:
-        _diag(f"warning: {skipped} malformed line(s)/thread(s) skipped")
-    if parsed > kept:
-        _diag(f"info: filter dropped {parsed - kept} of {parsed} threads")
-    if not kept:
-        _diag("warning: no threads remain after filtering")
 
 
 # Row functions live at module level so they pickle for the workers. Each maps

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import threading
+from collections import Counter
 from multiprocessing.connection import Connection
 
 import pytest
@@ -473,6 +474,26 @@ class TestCompareCommand:
             )
             assert code == 2, value
         assert "rarity threshold" in capsys.readouterr().err
+
+    def test_rarity_threshold_reaches_the_labels(self, tmp_path):
+        # One thread of three users: a census with one triad, in one class.
+        posts = [("p0", None, "a", 0), ("p1", "p0", "b", 1), ("p2", "p0", "c", 2)]
+        census = run_census(
+            tmp_path, "c", [make_thread("t", "focus", posts)], "--min-extra-posts", "0"
+        )
+        out = tmp_path / "cmp"
+
+        def labels(*threshold):
+            code = main(
+                ["compare", "--focus", str(census), "--baseline", str(census),
+                 "--out", str(out), *threshold]
+            )
+            assert code == 0
+            with open(out / "expression_summary.csv", newline="") as fh:
+                return Counter(row["labels"] for row in csv.DictReader(fh))
+
+        assert labels() == {"rare": 36}
+        assert labels("--rarity-threshold", "0") == {"rare": 35, "equal": 1}
 
     def test_mixed_sources_are_reported(self, tmp_path, capsys):
         census = run_census(
@@ -1025,8 +1046,16 @@ class TestConfigErrors:
                 ["timing", "201-x", "--input", "c", "--out", "o"],
                 "argument class_name: unknown anchored triad class '201-x'",
             ),
+            (
+                ["compare", "--focus", "f", "--baseline", "b", "--out", "o",
+                 "--rarity-threshold", "abc"],
+                "argument --rarity-threshold: rarity threshold must be finite and non-negative",
+            ),
         ],
-        ids=["jobs-abc", "no-subcommand", "inverted-bins", "negative-min-extra-posts", "unknown-class"],
+        ids=[
+            "jobs-abc", "no-subcommand", "inverted-bins", "negative-min-extra-posts",
+            "unknown-class", "rarity-threshold-abc",
+        ],
     )
     def test_returns_2_with_usage(self, tmp_path, monkeypatch, capsys, argv, error):
         monkeypatch.chdir(tmp_path)
@@ -1190,6 +1219,22 @@ class TestCensusFileLineNumbers:
 
         bad, error = self.compare(tmp_path, capsys, edit)
         assert error == f"error: line 4: {bad}: bad census row width"
+
+    def test_extra_header_column_names_line_1(self, tmp_path, capsys):
+        bad, error = self.compare(tmp_path, capsys, lambda lines: [lines[0] + ",extra", *lines[1:]])
+        assert error == f"error: line 1: {bad}: census schema has extra columns"
+
+    def test_non_integer_count_after_a_quoted_newline_names_its_line(self, tmp_path, capsys):
+        def edit(lines):
+            fields = lines[3].split(",")
+            fields[4] = "x"
+            return [*lines[:3], ",".join(fields), *lines[4:]]
+
+        bad, error = self.compare(tmp_path, capsys, edit)
+        assert error == (
+            f"error: line 4: {bad}: bad census row "
+            "(invalid literal for int() with base 10: 'x')"
+        )
 
 
 # Text that a CSV row must quote (",", '"', "\n") or cannot hold ("\r").

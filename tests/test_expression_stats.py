@@ -67,6 +67,10 @@ class TestBinSpec:
         with pytest.raises(ValueError):
             BinSpec(((5, 1),))
 
+    def test_empty_spec_rejected(self):
+        with pytest.raises(ValueError, match="^bin spec needs at least one range$"):
+            BinSpec(())
+
 
 class TestAssignBins:
     def test_placement_and_unbinned(self):
