@@ -360,10 +360,10 @@ def read_census_csv(path: Path, class_names: Sequence[str], source: str) -> list
 
     Every row must have the header's width, and its counts must be
     non-negative and sum to C(n_users - 1, 2), as a census's do. ``n_users``
-    must be below 2**63, as the corpus timestamps are, so every count and
-    every square of one is a finite float. A fault, text that is not UTF-8
-    or not CSV included, names the line its row starts on, where a newline
-    quoted in a field counts as a line.
+    must be at least 1, and below 2**63 as the corpus timestamps are, so
+    every count and every square of one is a finite float. A fault, text
+    that is not UTF-8 or not CSV included, names the line its row starts on,
+    where a newline quoted in a field counts as a line.
     One warning on stderr counts the rows whose source column differs from
     ``source``; those rows are still loaded.
     """
@@ -396,9 +396,11 @@ def read_census_csv(path: Path, class_names: Sequence[str], source: str) -> list
                     raise CorpusParseError(line_no, f"{path}: bad census row ({err})")
                 if min(counts) < 0:
                     raise CorpusParseError(line_no, f"{path}: negative class count")
+                if n_users < 1:
+                    raise CorpusParseError(line_no, f"{path}: n_users must be at least 1")
                 if n_users >= 2**63:
                     raise CorpusParseError(line_no, f"{path}: n_users must be below 2**63")
-                if n_users < 1 or sum(counts) != math.comb(n_users - 1, 2):
+                if sum(counts) != math.comb(n_users - 1, 2):
                     raise CorpusParseError(
                         line_no,
                         f"{path}: census counts sum to {sum(counts)}, "

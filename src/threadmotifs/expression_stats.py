@@ -1,21 +1,20 @@
 """Bin censused graphs by user count, fit a baseline null model, and score.
 
-The baseline corpus's per-bin count distributions act as the null model;
-each focus-corpus class count is standardized against it. Per bin b and
-class i, with m_k the count in the k-th of N focus graphs:
+One fit gives both corpora their per-bin class-count means and sigmas; the
+baseline's are the null model, so a self-comparison gives equal columns and
+Z = 0. Per bin b and class i, with m_k the count in the k-th of N focus graphs:
 
     Z_i = (1/N) * sum_k (m_k - mu_null) / sigma_null
         = (mean_focus - mu_null) / sigma_null
 
-Standard deviations are population ones (divisor M, no Bessel correction),
-and every sum runs over the graphs in input order with plain float adds,
-so results are reproducible bit for bit. Cells with an empty bin on either
-side, or zero baseline variance, carry an explicit reason instead of a Z.
+Sigmas are population ones (no Bessel correction), and every sum runs over
+the graphs in input order with plain float adds, so results are reproducible
+bit for bit. Cells with an empty bin on either side, or zero baseline
+variance, carry an explicit reason instead of a Z.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -100,46 +99,38 @@ def assign_bins(censuses: Iterable[MotifCensus], spec: BinSpec) -> BinnedCensuse
 
 
 class NullModel(NamedTuple):
-    """Per-bin, per-class baseline mean and population standard deviation."""
+    """Per-bin, per-class mean and population sigma of one corpus: the baseline
+    when it serves as the null model, the focus corpus inside ``z_scores``."""
 
     spec: BinSpec
-    sizes: tuple[int, ...]  # baseline graphs per bin
+    sizes: tuple[int, ...]  # graphs per bin
     mu: tuple[tuple[float, ...] | None, ...]  # None marks an empty bin
     sigma: tuple[tuple[float, ...] | None, ...]
 
 
-def _mean_sigma(
-    group: Sequence[MotifCensus],
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Per-class mean and population sigma over a group of censuses; () each if empty.
+def fit_null_model(binned: BinnedCensuses) -> NullModel:
+    """Mean and population sigma of every class count, per bin.
 
     Counts are integers, so each column's sum is exact before the one
     division by n. The squared deviations are added one graph at a time in
     group order with plain float adds: ``sum`` compensates the rounding on
     Python 3.12+ and would change the last bits between interpreters.
     """
-    n = len(group)
-    means, sigmas = [], []
-    for column in zip(*(c.counts for c in group)):
-        mean = float(sum(column)) / n
-        squares = 0.0
-        for count in column:
-            deviation = count - mean
-            squares += deviation * deviation
-        means.append(mean)
-        sigmas.append(math.sqrt(squares / n))
-    return tuple(means), tuple(sigmas)
-
-
-def fit_null_model(baseline: BinnedCensuses) -> NullModel:
-    """Mean and population sigma of every class count, per bin."""
-    sizes, mus, sigmas = [], [], []
-    for group in baseline.groups:
-        sizes.append(len(group))
-        mu, sigma = _mean_sigma(group) if group else (None, None)
-        mus.append(mu)
-        sigmas.append(sigma)
-    return NullModel(baseline.spec, tuple(sizes), tuple(mus), tuple(sigmas))
+    mus, sigmas = [], []
+    for group in binned.groups:
+        n = len(group)
+        means, sds = [], []
+        for column in zip(*(c.counts for c in group)):
+            mean = float(sum(column)) / n
+            squares = 0.0
+            for count in column:
+                deviation = count - mean
+                squares += deviation * deviation
+            means.append(mean)
+            sds.append(math.sqrt(squares / n))
+        mus.append(tuple(means) if n else None)
+        sigmas.append(tuple(sds) if n else None)
+    return NullModel(binned.spec, tuple(map(len, binned.groups)), tuple(mus), tuple(sigmas))
 
 
 class ZCell(NamedTuple):
@@ -168,15 +159,6 @@ class ZReport(NamedTuple):
     cells: tuple[ZCell, ...]
 
 
-def _side_stats(n: int, means: Sequence | None, sigmas: Sequence | None) -> Iterable[tuple]:
-    """Per-class (mean, sigma, standard error) of one side of a bin of n
-    graphs; all None, for every class, when the bin is empty."""
-    if n == 0:
-        return itertools.repeat((None, None, None))
-    root_n = math.sqrt(n)
-    return [(mean, sigma, sigma / root_n) for mean, sigma in zip(means, sigmas)]
-
-
 def z_scores(
     focus: BinnedCensuses, null: NullModel, class_names: Sequence[str]
 ) -> ZReport:
@@ -184,17 +166,19 @@ def z_scores(
     if focus.spec != null.spec:
         raise ValueError("focus binning and null model use different bin specs")
     spec = focus.spec
+    fit = fit_null_model(focus)
     cells = []
-    for b, (label, group) in enumerate(zip(spec.labels, focus.groups)):
-        n = len(group)
+    for b, label in enumerate(spec.labels):
+        n = fit.sizes[b]
         m = null.sizes[b]
         if n == 0 and m == 0:
             continue  # bin empty in both corpora: nothing to report
-        baseline_side = _side_stats(m, null.mu[b], null.sigma[b])
-        focus_side = _side_stats(n, *_mean_sigma(group))
-        for name, (mu, sigma, se_null), (mean_f, sigma_f, se_f) in zip(
-            class_names, baseline_side, focus_side
-        ):
+        for i, name in enumerate(class_names):
+            # (mean, sigma, standard error) of the baseline, then of the focus corpus
+            (mu, sigma, se_null), (mean_f, sigma_f, se_f) = (
+                (s.mu[b][i], s.sigma[b][i], s.sigma[b][i] / math.sqrt(k)) if k else (None,) * 3
+                for s, k in ((null, m), (fit, n))
+            )
             z = reason = None
             if m == 0:
                 reason = REASON_EMPTY_BASELINE

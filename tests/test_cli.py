@@ -91,7 +91,12 @@ class TestMacroCommand:
                 "reciprocity", "op_betweenness", "branching_factor",
             ]
         ]
-        assert "no threads remain" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert "warning: no threads remain after filtering" in err
+        assert [line for line in err if "ECDF is empty" in line] == [
+            f"warning: no defined values for {metric}, ECDF is empty"
+            for metric in cli.ECDF_METRICS
+        ]
 
     def test_malformed_line_reported_not_fatal(self, tmp_path, capsys):
         lines = [
@@ -424,7 +429,11 @@ class TestCompareCommand:
 
         def census(name, *n_users):
             path = tmp_path / f"{name}.csv"
-            lines = [_census_line(n, 0, "focus") for n in n_users]
+            # C(n - 1, 2) is undefined below n = 1, so those rows hold all-zero counts
+            lines = [
+                _census_line(n, 0, "focus") if n >= 1 else f"t{n},focus,{n},{',0' * 36}".encode()
+                for n in n_users
+            ]
             path.write_bytes(b"\n".join([header, *lines]) + b"\n")
             return path
 
@@ -434,7 +443,9 @@ class TestCompareCommand:
         argv = ["compare", "--focus", str(ok), "--baseline", str(ok), "--out", str(out), *bins]
         assert main(argv) == 0
         assert read_rows(out / "compare.csv")[1][:3] == [f"6-{2 * 10**200}", "003", "2"]
-        for n_users in (2**63, 10**200):
+        for n_users, bound in (
+            (2**63, "below 2**63"), (10**200, "below 2**63"), (0, "at least 1"), (-1, "at least 1"),
+        ):
             bad = census("bad", n_users)
             for focus, baseline in ((bad, ok), (ok, bad)):
                 code = main(
@@ -443,7 +454,7 @@ class TestCompareCommand:
                 )
                 assert code == 1
                 assert capsys.readouterr().err.splitlines()[-1] == (
-                    f"error: line 2: {bad}: n_users must be below 2**63"
+                    f"error: line 2: {bad}: n_users must be {bound}"
                 )
 
     def test_unbinned_graphs_are_reported(self, tmp_path, capsys):
@@ -549,6 +560,16 @@ class TestTimingCommand:
         rows = read_rows(out / "timing.csv")
         median = next(r for r in rows[1:] if r[0] == "median")
         assert median[4] == "0.000000"
+
+    def test_no_instances_leave_the_median_undefined(self, tmp_path, capsys):
+        # Every reply goes to the OP, so no pair of repliers forms a 201 triad.
+        corpus = write_corpus(tmp_path / "c.jsonl", [filler_thread("t-star", n_replies=6)])
+        out = tmp_path / "timing"
+        assert main(["timing", "201-b", "--input", str(corpus), "--out", str(out)]) == 0
+        assert read_rows(out / "timing.csv") == [["kind", "thread_id", "v_user", "w_user", "fraction"]]
+        err = capsys.readouterr().err
+        assert "no threads remain" not in err
+        assert "warning: no instances of 201-b found, median undefined\n" in err
 
     def test_fig2_111db_median(self, tmp_path):
         # Instances complete at 50/70 and 60/70 (twice each); lower median 5/7.
@@ -1117,6 +1138,18 @@ HOSTILE_LINES = {
         to_json_line(filler_thread("t-cr")).replace('"root"', '"r\\r"').encode(),
         "thread 't-cr': text holds a carriage return, which would split a CSV row",
     ),
+    **{
+        f"posts-{name}": (
+            json.dumps({"thread_id": "np", "source": "focus", **posts}).encode(),
+            "'posts' must be an array",
+        )
+        for name, posts in (
+            ("object", {"posts": {}}),
+            ("string", {"posts": "x"}),
+            ("null", {"posts": None}),
+            ("missing", {}),
+        )
+    },
 }
 CORPUS_COMMANDS = (["census"], ["macro"], ["degrees"], ["timing", "201-b"])
 

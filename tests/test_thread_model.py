@@ -193,8 +193,9 @@ ODD_VALUES = st.sampled_from(
 @st.composite
 def corpus_lines(draw):
     """Lines that are mostly trees in shuffled post order, some with faults:
-    bad or missing fields, posts that are not objects, repeated or unknown
-    ids, extra roots, cycles, lone surrogates and carriage returns."""
+    bad or missing fields, a 'posts' that is not an array, posts that are not
+    objects, repeated or unknown ids, extra roots, cycles, lone surrogates and
+    carriage returns."""
     n = draw(st.integers(0, 6))
     posts = [
         {
@@ -223,6 +224,10 @@ def corpus_lines(draw):
         "source": draw(st.sampled_from(["focus"] * 3 + ["baseline"] * 3 + ["other"])),
         "posts": posts,
     }
+    if draw(st.integers(0, 9)) == 0:
+        thread["posts"] = draw(st.sampled_from([{}, {"p0": {}}, "x", None, 7]))
+        if draw(st.booleans()):
+            del thread["posts"]
     line = json.dumps(thread, ensure_ascii=draw(st.booleans()))
     return line.encode() if draw(st.booleans()) and line.isascii() else line
 
@@ -279,6 +284,7 @@ class TestParseOracle:
         line=_line({**ROOT, "author": 5}, 7), line_no=1
     )
     @example(line=_line({**ROOT, "author": "\ud800"}), line_no=1)  # escaped lone surrogate
+    @example(line='{"thread_id": "t", "source": "focus", "posts": {}}', line_no=1)
     def test_parse_matches_oracle(self, line, line_no):
         assert _outcome(parse_thread_line, line, line_no) == _outcome(
             parse_oracle, line, line_no
@@ -288,9 +294,10 @@ class TestParseOracle:
     @given(line=corpus_lines(), data=st.data())
     def test_from_posts_on_shuffled_posts_matches_oracle(self, line, data):
         obj = json.loads(line)
+        # from_posts takes a list of (id, parent, author, t) records: a 'posts'
+        # that is not an array, or a post that is not an object, has no such form.
+        assume(isinstance(obj.get("posts"), list))
         posts = data.draw(st.permutations(obj["posts"]))
-        # from_posts takes (id, parent, author, t) records: a post that is not
-        # an object has no such form.
         assume(all(isinstance(p, dict) for p in posts))
         shuffled = _line(*posts, thread_id=obj["thread_id"], source=obj["source"])
         expected = _outcome(parse_oracle, shuffled, None)
