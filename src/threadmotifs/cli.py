@@ -27,6 +27,7 @@ from .errors import CorpusParseError, ThreadMotifsError
 from .expression_stats import (
     BinSpec,
     DEFAULT_RARITY_THRESHOLD,
+    NullModel,
     assign_bins,
     classify_expression,
     fit_null_model,
@@ -423,21 +424,21 @@ def read_census_csv(path: Path, class_names: Sequence[str], source: str) -> list
     return censuses
 
 
+def _fit_census(path: Path, bins: BinSpec, side: str) -> tuple[NullModel, int]:
+    """Fit one census file and count its unbinned rows; the rows are freed on return."""
+    binned = assign_bins(read_census_csv(path, get_class_table().names, side), bins)
+    return fit_null_model(binned), len(binned.unbinned)
+
+
 def cmd_compare(args: Namespace) -> None:
     """Standardize a focus census file against a baseline one."""
     table = get_class_table()
-    focus = read_census_csv(args.focus, table.names, "focus")
-    baseline = read_census_csv(args.baseline, table.names, "baseline")
-    binned_baseline = assign_bins(baseline, args.bins)
-    binned_focus = assign_bins(focus, args.bins)
-    for side, binned in (("focus", binned_focus), ("baseline", binned_baseline)):
-        if binned.unbinned:
-            _diag(
-                f"warning: {len(binned.unbinned)} {side} graph(s) "
-                "outside every bin left unbinned"
-            )
-    null = fit_null_model(binned_baseline)
-    report = z_scores(binned_focus, null, table.names)
+    focus, focus_unbinned = _fit_census(args.focus, args.bins, "focus")
+    null, baseline_unbinned = _fit_census(args.baseline, args.bins, "baseline")
+    for side, unbinned in (("focus", focus_unbinned), ("baseline", baseline_unbinned)):
+        if unbinned:
+            _diag(f"warning: {unbinned} {side} graph(s) outside every bin left unbinned")
+    report = z_scores(focus, null, table.names)
     expression = classify_expression(report, args.rarity_threshold)
     rows = [
         (

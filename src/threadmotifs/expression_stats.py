@@ -1,8 +1,10 @@
 """Bin censused graphs by user count, fit a baseline null model, and score.
 
-One fit gives both corpora their per-bin class-count means and sigmas; the
-baseline's are the null model, so a self-comparison gives equal columns and
-Z = 0. Per bin b and class i, with m_k the count in the k-th of N focus graphs:
+``fit_null_model`` reduces one corpus to its per-bin class-count means and
+sigmas, so ``compare`` reads, bins and fits one census file at a time, and
+``z_scores`` compares the focus corpus's fit with the baseline's, the null
+model: a self-comparison gives equal columns and Z = 0. Per bin b and class
+i, with m_k the count in the k-th of N focus graphs:
 
     Z_i = (1/N) * sum_k (m_k - mu_null) / sigma_null
         = (mean_focus - mu_null) / sigma_null
@@ -99,8 +101,8 @@ def assign_bins(censuses: Iterable[MotifCensus], spec: BinSpec) -> BinnedCensuse
 
 
 class NullModel(NamedTuple):
-    """Per-bin, per-class mean and population sigma of one corpus: the baseline
-    when it serves as the null model, the focus corpus inside ``z_scores``."""
+    """Per-bin, per-class mean and population sigma of one corpus; ``z_scores``
+    compares the focus corpus's fit with the baseline's, the null model."""
 
     spec: BinSpec
     sizes: tuple[int, ...]  # graphs per bin
@@ -159,17 +161,14 @@ class ZReport(NamedTuple):
     cells: tuple[ZCell, ...]
 
 
-def z_scores(
-    focus: BinnedCensuses, null: NullModel, class_names: Sequence[str]
-) -> ZReport:
-    """Standardize focus-corpus mean counts against the null model."""
+def z_scores(focus: NullModel, null: NullModel, class_names: Sequence[str]) -> ZReport:
+    """Standardize the focus corpus's fit against the baseline's, the null model."""
     if focus.spec != null.spec:
         raise ValueError("focus binning and null model use different bin specs")
     spec = focus.spec
-    fit = fit_null_model(focus)
     cells = []
     for b, label in enumerate(spec.labels):
-        n = fit.sizes[b]
+        n = focus.sizes[b]
         m = null.sizes[b]
         if n == 0 and m == 0:
             continue  # bin empty in both corpora: nothing to report
@@ -177,7 +176,7 @@ def z_scores(
             # (mean, sigma, standard error) of the baseline, then of the focus corpus
             (mu, sigma, se_null), (mean_f, sigma_f, se_f) = (
                 (s.mu[b][i], s.sigma[b][i], s.sigma[b][i] / math.sqrt(k)) if k else (None,) * 3
-                for s, k in ((null, m), (fit, n))
+                for s, k in ((null, m), (focus, n))
             )
             z = reason = None
             if m == 0:

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from multiprocessing.connection import Connection
 
@@ -38,6 +39,14 @@ def write_corpus(path, threads):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def write_census(path, n_users, source="focus"):
+    """A census file with one valid row per user count, its triads in one class."""
+    header = ",".join(census_header(get_class_table().names)).encode()
+    lines = [_census_line(n, i % 36, source) for i, n in enumerate(n_users)]
+    path.write_bytes(b"\n".join([header, *lines]) + b"\n")
+    return path
 
 
 def filler_thread(thread_id, source="focus", n_replies=5, author="root"):
@@ -524,6 +533,40 @@ class TestCompareCommand:
             "warning: 6 of 8 row(s) in the focus census have another source",
             "warning: 2 of 8 row(s) in the baseline census have another source",
         ]
+
+    def test_whole_stderr_when_both_warnings_fire_on_both_sides(self, tmp_path, capsys):
+        # Each file's rows name the other source, and some fall outside 1-5: the
+        # source warnings come as the files are read, then the unbinned ones.
+        focus = write_census(tmp_path / "foc.csv", [3, 7, 8], source="baseline")
+        baseline = write_census(tmp_path / "base.csv", [4, 5, 9, 12, 20], source="focus")
+        argv = ["compare", "--focus", str(focus), "--baseline", str(baseline),
+                "--out", str(tmp_path / "cmp"), "--bins", "1-5"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == (
+            "warning: 3 of 3 row(s) in the focus census have another source\n"
+            "warning: 5 of 5 row(s) in the baseline census have another source\n"
+            "warning: 2 focus graph(s) outside every bin left unbinned\n"
+            "warning: 3 baseline graph(s) outside every bin left unbinned\n"
+        )
+
+    def test_holds_one_side_of_rows_at_a_time(self, tmp_path):
+        # Each census file is read, binned and fitted, and its rows freed, before
+        # the other is read: two big files peak about as high as a big and a small.
+        big = write_census(tmp_path / "big.csv", [3 + i % 38 for i in range(3000)])
+        small = write_census(tmp_path / "small.csv", range(3, 13))
+
+        def peak(baseline):
+            argv = ["compare", "--focus", str(big), "--baseline", str(baseline),
+                    "--out", str(tmp_path / "cmp")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        get_class_table()  # built once per process, outside the measured runs
+        assert peak(big) < 1.25 * peak(small)
 
     def test_missing_file_is_input_error(self, tmp_path):
         census = run_census(tmp_path, "c", [fig2_thread()], "--min-extra-posts", "0")
@@ -1093,12 +1136,21 @@ class TestConfigErrors:
         assert capsys.readouterr().out.startswith("usage: threadmotifs")
 
     def test_parser_resolves_jobs(self, tmp_path, monkeypatch):
-        seen = []
+        def resolved():
+            seen = []
+            monkeypatch.setattr(cli, "_thread_rows", lambda args, row_fn: seen.append(args.jobs) or [])
+            for jobs in ([], ["--jobs", "0"], ["--jobs", "2"], ["--jobs", "5000"]):
+                assert main(["census", "--input", "c", "--out", str(tmp_path), *jobs]) == 0
+            return seen
+
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        monkeypatch.setattr(cli, "_thread_rows", lambda args, row_fn: seen.append(args.jobs) or [])
-        for jobs in ([], ["--jobs", "0"], ["--jobs", "2"], ["--jobs", "5000"]):
-            assert main(["census", "--input", "c", "--out", str(tmp_path), *jobs]) == 0
-        assert seen == [3, 3, 2, 3]
+        assert resolved() == [3, 3, 2, 3]
+        # Without sched_getaffinity the processors are os.cpu_count(), or 1 if unknown.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert resolved() == [4, 4, 2, 4]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert resolved() == [1, 1, 1, 1]
 
 
 # Built as JSON because no ThreadRecord holds a timestamp outside 64 bits.

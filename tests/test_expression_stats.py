@@ -107,7 +107,7 @@ class TestZScores:
     def test_direct_formula(self):
         baseline = assign_bins([census_of(3, c0=0), census_of(3, c0=4)], BinSpec())
         focus = assign_bins([census_of(3, c0=4), census_of(3, c0=8)], BinSpec())
-        report = z_scores(focus, fit_null_model(baseline), CLASS_NAMES)
+        report = z_scores(fit_null_model(focus), fit_null_model(baseline), CLASS_NAMES)
         cell = next(c for c in report.cells if c.class_name == "k0")
         assert cell.z == pytest.approx((6 - 2) / 2, abs=1e-12)
         assert cell.mean_focus == 6.0
@@ -124,7 +124,7 @@ class TestZScores:
             for _ in range(120)
         ]
         binned = assign_bins(censuses, BinSpec())
-        report = z_scores(binned, fit_null_model(binned), CLASS_NAMES)
+        report = z_scores(fit_null_model(binned), fit_null_model(binned), CLASS_NAMES)
         for cell in report.cells:
             if cell.reason == REASON_ZERO_VARIANCE:
                 assert cell.z is None
@@ -134,7 +134,7 @@ class TestZScores:
     def test_zero_variance_reason(self):
         baseline = assign_bins([census_of(3, c0=2)] * 2, BinSpec())
         focus = assign_bins([census_of(3, c0=5)], BinSpec())
-        report = z_scores(focus, fit_null_model(baseline), CLASS_NAMES)
+        report = z_scores(fit_null_model(focus), fit_null_model(baseline), CLASS_NAMES)
         cell = report.cells[0]
         assert cell.z is None
         assert cell.reason == REASON_ZERO_VARIANCE
@@ -142,7 +142,7 @@ class TestZScores:
     def test_empty_side_reasons(self):
         baseline = assign_bins([census_of(3, c0=1), census_of(3, c0=3)], BinSpec())
         focus = assign_bins([census_of(8, c0=1), census_of(8, c0=2)], BinSpec())
-        report = z_scores(focus, fit_null_model(baseline), CLASS_NAMES)
+        report = z_scores(fit_null_model(focus), fit_null_model(baseline), CLASS_NAMES)
         assert {c.reason for c in report.cells if c.bin_label == "1-5"} == {
             REASON_EMPTY_FOCUS
         }
@@ -152,7 +152,7 @@ class TestZScores:
 
     def test_bins_empty_in_both_corpora_are_omitted(self):
         baseline = assign_bins([census_of(3, c0=1), census_of(3, c0=3)], BinSpec())
-        report = z_scores(baseline, fit_null_model(baseline), CLASS_NAMES)
+        report = z_scores(fit_null_model(baseline), fit_null_model(baseline), CLASS_NAMES)
         assert {c.bin_label for c in report.cells} == {"1-5"}
 
     def test_mismatched_bin_specs_rejected(self):
@@ -160,7 +160,7 @@ class TestZScores:
         baseline = assign_bins([census_of(3, c0=1)], BinSpec())
         focus = assign_bins([census_of(3, c0=1)], small)
         with pytest.raises(ValueError):
-            z_scores(focus, fit_null_model(baseline), CLASS_NAMES)
+            z_scores(fit_null_model(focus), fit_null_model(baseline), CLASS_NAMES)
 
     def test_shift_invariance(self):
         # Adding the same constant to every count of a class in both corpora
@@ -179,12 +179,12 @@ class TestZScores:
             ]
 
         z0 = z_scores(
-            assign_bins(foc, BinSpec()),
+            fit_null_model(assign_bins(foc, BinSpec())),
             fit_null_model(assign_bins(base, BinSpec())),
             CLASS_NAMES,
         )
         z1 = z_scores(
-            assign_bins(shifted(foc, 7), BinSpec()),
+            fit_null_model(assign_bins(shifted(foc, 7), BinSpec())),
             fit_null_model(assign_bins(shifted(base, 7), BinSpec())),
             CLASS_NAMES,
         )
@@ -207,12 +207,12 @@ class TestZScores:
             ]
 
         z0 = z_scores(
-            assign_bins(foc, BinSpec()),
+            fit_null_model(assign_bins(foc, BinSpec())),
             fit_null_model(assign_bins(base, BinSpec())),
             CLASS_NAMES,
         )
         z1 = z_scores(
-            assign_bins(scaled(foc, 5), BinSpec()),
+            fit_null_model(assign_bins(scaled(foc, 5), BinSpec())),
             fit_null_model(assign_bins(scaled(base, 5), BinSpec())),
             CLASS_NAMES,
         )
@@ -223,7 +223,7 @@ class TestZScores:
     def test_single_census_bin_has_zero_sigma(self):
         baseline = assign_bins([census_of(3, c0=7)], BinSpec())
         focus = assign_bins([census_of(3, c0=9)], BinSpec())
-        report = z_scores(focus, fit_null_model(baseline), CLASS_NAMES)
+        report = z_scores(fit_null_model(focus), fit_null_model(baseline), CLASS_NAMES)
         assert all(c.reason == REASON_ZERO_VARIANCE for c in report.cells)
 
 
@@ -244,7 +244,7 @@ class TestZScores:
 
         for _ in range(30):
             baseline, focus = assign_bins(sample(), BinSpec()), assign_bins(sample(), BinSpec())
-            report = z_scores(focus, fit_null_model(baseline), CLASS_NAMES)
+            report = z_scores(fit_null_model(focus), fit_null_model(baseline), CLASS_NAMES)
             expected = {}
             for side, binned in (("null", baseline), ("focus", focus)):
                 for b, group in enumerate(binned.groups):

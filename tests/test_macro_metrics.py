@@ -339,3 +339,5 @@ def test_lower_median_conventions():
     assert lower_median([1, 2]) == 1
     assert lower_median([3, 1, 2]) == 2
     assert lower_median([4, 1, 3, 2]) == 2
+    with pytest.raises(UndefinedMetricError):
+        lower_median([])
