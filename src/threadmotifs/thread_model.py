@@ -247,14 +247,15 @@ def parse_numbered(
     """Yield (line number, thread) per well-formed thread of a corpus dump.
 
     Lines may be text or bytes; bytes are decoded line by line, so an
-    undecodable line is reported like any other malformed one. Blank lines
-    are skipped. When ``on_error`` is given, each malformed line or invalid
-    thread is reported to it and parsing continues; when it is None the
-    first error is raised. ``lines[0]`` is numbered ``first_line``, so a
+    undecodable line is reported like any other malformed one. A blank
+    line, text or bytes, holds only JSON whitespace (space, tab, CR, LF)
+    and is skipped without a report. When ``on_error`` is given, each
+    malformed line or invalid thread is reported to it and parsing
+    continues; when it is None the first error is raised. ``lines[0]`` is numbered ``first_line``, so a
     caller that parses a dump in pieces keeps the dump's line numbers.
     """
     for line_no, line in enumerate(lines, start=first_line):
-        if not line.strip():
+        if not line.strip(b" \t\r\n" if isinstance(line, bytes) else " \t\r\n"):
             continue
         try:
             yield line_no, parse_thread_line(line, line_no)

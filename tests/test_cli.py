@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
@@ -39,6 +40,40 @@ def write_corpus(path, threads):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def csv_files(out):
+    """The bytes of every CSV file in ``out``, by name."""
+    return {path.name: path.read_bytes() for path in out.glob("*.csv")}
+
+
+needs_mkfifo = pytest.mark.skipif(
+    not hasattr(os, "mkfifo"), reason="no os.mkfifo on this platform"
+)
+
+
+@contextlib.contextmanager
+def fifo_of(source, fifo):
+    """Make ``fifo`` a FIFO that a child process fills with ``source``'s bytes.
+
+    The writer is a process, not a thread, as a run that forks workers must
+    not fork a process that runs threads.
+    """
+    os.mkfifo(fifo)
+    copy = (
+        "import sys\n"
+        "with open(sys.argv[1], 'rb') as src, open(sys.argv[2], 'wb') as dst:\n"
+        "    dst.write(src.read())\n"
+    )
+    writer = subprocess.Popen([sys.executable, "-c", copy, str(source), str(fifo)])
+    try:
+        yield fifo
+    finally:
+        try:
+            code = writer.wait(timeout=30)
+        finally:
+            writer.kill()  # a writer still waiting for a reader
+    assert code == 0
 
 
 def write_census(path, n_users, source="focus"):
@@ -259,7 +294,7 @@ class TestCensusCommand:
         assert "warning: skipped line 3: duplicate thread_id 't1' (first on line 1)" in err
         assert "warning: 1 malformed line(s)/thread(s) skipped" in err
 
-    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo on this platform")
+    @needs_mkfifo
     def test_workers_capped_at_usable_processors(self, tmp_path, monkeypatch):
         class ThreadWorker:
             """Stands in for multiprocessing.Process: serves batches on a thread."""
@@ -343,14 +378,19 @@ class TestCompareCommand:
         assert main(
             ["compare", "--focus", str(census), "--baseline", str(census), "--out", str(out)]
         ) == 0
-        rows = read_rows(out / "compare.csv")
-        header = rows[0]
-        z_i, reason_i = header.index("z"), header.index("reason")
-        for row in rows[1:]:
-            if row[z_i]:
-                assert float(row[z_i]) == 0.0
-            else:
-                assert row[reason_i] != ""
+        with open(out / "compare.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        # Both sides come from one fit, so each baseline column equals its
+        # focus twin, and each populated bin has a row per class.
+        for row in rows:
+            assert [row[k] for k in ("M", "mu_null", "sigma_null", "se_null")] == [
+                row[k] for k in ("N", "mean_focus", "sigma_focus", "se_focus")
+            ]
+            assert (row["z"], row["reason"] != "") in (("0.000000", False), ("", True))
+        populated = {row[3] for row in read_rows(census)[1:] if row[3]}
+        assert Counter(row["bin"] for row in rows) == dict.fromkeys(populated, 36)
+        # Many cells have variance, so the checks above are not vacuous.
+        assert (len(populated), sum(row["z"] == "0.000000" for row in rows)) == (7, 131)
 
     def test_planted_reciprocity_marks_201b_over(self, tmp_path):
         baseline = run_census(
@@ -535,19 +575,40 @@ class TestCompareCommand:
         ]
 
     def test_whole_stderr_when_both_warnings_fire_on_both_sides(self, tmp_path, capsys):
-        # Each file's rows name the other source, and some fall outside 1-5: the
-        # source warnings come as the files are read, then the unbinned ones.
-        focus = write_census(tmp_path / "foc.csv", [3, 7, 8], source="baseline")
-        baseline = write_census(tmp_path / "base.csv", [4, 5, 9, 12, 20], source="focus")
-        argv = ["compare", "--focus", str(focus), "--baseline", str(baseline),
-                "--out", str(tmp_path / "cmp"), "--bins", "1-5"]
-        assert main(argv) == 0
-        assert capsys.readouterr().err == (
-            "warning: 3 of 3 row(s) in the focus census have another source\n"
-            "warning: 5 of 5 row(s) in the baseline census have another source\n"
-            "warning: 2 focus graph(s) outside every bin left unbinned\n"
-            "warning: 3 baseline graph(s) outside every bin left unbinned\n"
-        )
+        # Each file's rows name the other source, and some or all fall outside
+        # 1-5: the source warnings come as the files are read, then the
+        # unbinned ones, also when no bin is populated and compare.csv is its
+        # header alone. No mean count reaches 10, so every class is rare.
+        for focus_sizes, baseline_sizes, stderr, n_rows in (
+            (
+                [3, 7, 8], [4, 5, 9, 12, 20],
+                "warning: 3 of 3 row(s) in the focus census have another source\n"
+                "warning: 5 of 5 row(s) in the baseline census have another source\n"
+                "warning: 2 focus graph(s) outside every bin left unbinned\n"
+                "warning: 3 baseline graph(s) outside every bin left unbinned\n",
+                36,
+            ),
+            (
+                [9, 7, 8], [6, 10, 9, 12, 20],
+                "warning: 3 of 3 row(s) in the focus census have another source\n"
+                "warning: 5 of 5 row(s) in the baseline census have another source\n"
+                "warning: 3 focus graph(s) outside every bin left unbinned\n"
+                "warning: 5 baseline graph(s) outside every bin left unbinned\n",
+                0,
+            ),
+        ):
+            focus = write_census(tmp_path / "foc.csv", focus_sizes, source="baseline")
+            baseline = write_census(tmp_path / "base.csv", baseline_sizes, source="focus")
+            out = tmp_path / "cmp"
+            argv = ["compare", "--focus", str(focus), "--baseline", str(baseline),
+                    "--out", str(out), "--bins", "1-5"]
+            assert main(argv) == 0
+            assert capsys.readouterr().err == stderr
+            rows = read_rows(out / "compare.csv")
+            assert rows[0] == cli.COMPARE_HEADER
+            assert len(rows) == 1 + n_rows
+            with open(out / "expression_summary.csv", newline="") as fh:
+                assert Counter(row["labels"] for row in csv.DictReader(fh)) == {"rare": 36}
 
     def test_holds_one_side_of_rows_at_a_time(self, tmp_path):
         # Each census file is read, binned and fitted, and its rows freed, before
@@ -793,33 +854,46 @@ class TestBatchPath:
         assert [line for b in batches for line in b[1].splitlines()] == data.splitlines()
         assert all(chunk for _, chunk in batches)
 
-    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo on this platform")
+    @needs_mkfifo
     def test_fifo_input_gives_the_regular_files_bytes(
         self, tmp_path, hostile_corpus, monkeypatch, capsys
     ):
         monkeypatch.setattr(cli, "BATCH_BYTES", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
-        def census(corpus, name):
-            out = tmp_path / name
-            assert main(["census", "--input", str(corpus), "--out", str(out), "--jobs", "2"]) == 0
-            return (out / "census.csv").read_bytes(), capsys.readouterr().err
+        def run(command, corpus, name):
+            out = tmp_path / name / command[0]
+            assert main([*command, "--input", str(corpus), "--out", str(out), "--jobs", "2"]) == 0
+            return csv_files(out), capsys.readouterr().err
 
-        from_file = census(hostile_corpus, "file")
-        assert "warning: 4 malformed line(s)/thread(s) skipped" in from_file[1]
-        fifo = tmp_path / "corpus.fifo"
-        os.mkfifo(fifo)
-        # The run forks workers, so the FIFO's writer is a process, not a thread.
-        copy = (
-            "import sys\n"
-            "with open(sys.argv[1], 'rb') as src, open(sys.argv[2], 'wb') as dst:\n"
-            "    dst.write(src.read())\n"
-        )
-        writer = subprocess.Popen([sys.executable, "-c", copy, str(hostile_corpus), str(fifo)])
-        try:
-            assert census(fifo, "fifo") == from_file
-        finally:
-            assert writer.wait(timeout=30) == 0
+        for command, names in self.COMMANDS:
+            from_file = run(command, hostile_corpus, "file")
+            assert set(names) <= set(from_file[0])
+            assert "warning: 4 malformed line(s)/thread(s) skipped" in from_file[1]
+            with fifo_of(hostile_corpus, tmp_path / f"{command[0]}.fifo") as fifo:
+                assert run(command, fifo, "fifo") == from_file
+
+    @needs_mkfifo
+    def test_fifo_census_files_give_the_regular_files_bytes(
+        self, tmp_path, hostile_corpus, capsys
+    ):
+        census = tmp_path / "census" / "census.csv"
+        assert main(["census", "--input", str(hostile_corpus), "--out", str(census.parent)]) == 0
+        capsys.readouterr()
+
+        def compare(focus, baseline, name):
+            out = tmp_path / name
+            argv = ["compare", "--focus", str(focus), "--baseline", str(baseline)]
+            assert main([*argv, "--out", str(out)]) == 0
+            return csv_files(out), capsys.readouterr().err
+
+        from_file = compare(census, census, "file")
+        assert sorted(from_file[0]) == ["compare.csv", "expression_summary.csv"]
+        assert "have another source" in from_file[1]
+        with fifo_of(census, tmp_path / "focus.fifo") as focus, fifo_of(
+            census, tmp_path / "baseline.fifo"
+        ) as baseline:
+            assert compare(focus, baseline, "fifo") == from_file
 
 
 @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
@@ -1181,6 +1255,15 @@ HOSTILE_LINES = {
         to_json_line(filler_thread("t-author")).replace('"root"', '"\\udc80x"').encode(),
         "thread 't-author': text holds a lone surrogate, which UTF-8 cannot encode",
     ),
+    "own-parent": (
+        json.dumps(
+            {"thread_id": "self", "source": "focus", "posts": [
+                {"id": "p0", "parent": None, "author": "a", "t": 0},
+                {"id": "p1", "parent": "p1", "author": "b", "t": 1},
+            ]}
+        ).encode(),
+        "thread 'self': parent links contain a cycle",
+    ),
     # Valid JSON whose "\r" escapes decode to text the CSV writer leaves unquoted.
     "carriage-return": (
         to_json_line(filler_thread("cr")).replace('"cr"', '"a\\rb"').encode(),
@@ -1217,6 +1300,31 @@ def test_hostile_corpus_line_is_skipped(tmp_path, capsys, command, hostile):
     err = capsys.readouterr().err
     assert f"warning: skipped line 2: {reason}\n" in err
     assert "warning: 1 malformed line(s)/thread(s) skipped" in err
+
+
+def test_reply_listed_before_its_parent_is_kept(tmp_path, capsys):
+    # The reply comes first on its line; the thread after it has a post that
+    # is its own parent. Each command keeps one thread and warns once.
+    posts = [
+        {"id": "p1", "parent": "p0", "author": "b", "t": 1},
+        {"id": "p0", "parent": None, "author": "a", "t": 0},
+    ]
+    forward = json.dumps({"thread_id": "fwd", "source": "focus", "posts": posts}).encode()
+    corpus = tmp_path / "fwd.jsonl"
+    corpus.write_bytes(forward + b"\n" + HOSTILE_LINES["own-parent"][0] + b"\n")
+    # Each command's main CSV and its line count: the header, then the rows
+    # of fwd (its four degree rows; no 201-b instance, so no timing row).
+    lines = {
+        "census": ("census.csv", 2), "macro": ("macro_metrics.csv", 2),
+        "degrees": ("degrees.csv", 5), "timing": ("timing.csv", 1),
+    }
+    for command in CORPUS_COMMANDS:
+        out = tmp_path / command[0]
+        argv = [*command, "--input", str(corpus), "--out", str(out), "--min-extra-posts", "1"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err.count("parent links contain a cycle") == 1
+        name, n_lines = lines[command[0]]
+        assert (out / name).read_bytes().count(b"\n") == n_lines, name
 
 
 @pytest.mark.parametrize("command", CORPUS_COMMANDS, ids=lambda c: c[0])

@@ -167,6 +167,19 @@ class TestParse:
         numbered = list(parse_numbered(["", thread_json(), "   \n"]))
         assert [n for n, _ in numbered] == [2]
 
+    def test_only_json_whitespace_is_blank_in_text_and_bytes(self):
+        # str.strip and bytes.strip each remove characters that json.loads
+        # rejects: "\xa0", "\x1c" and "\u2028" from text alone, "\x0b" and
+        # "\x0c" from both.
+        def outcome(line):
+            errors = []
+            return list(parse_numbered([line], lambda err: errors.append(str(err)))), errors
+
+        for text in (" \t", "\x0b", "\x0c", "\xa0", "\x1c", "\u2028"):
+            assert outcome(text) == outcome(text.encode()), repr(text)
+            expected = [] if text == " \t" else ["line 1: invalid JSON (Expecting value)"]
+            assert outcome(text) == ([], expected), repr(text)
+
     def test_round_trip(self):
         originals = synth_corpus(20, "focus", reply_back_prob=0.4, seed=7)
         lines = [to_json_line(t) for t in originals]
