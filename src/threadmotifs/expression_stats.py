@@ -156,7 +156,6 @@ class ZCell(NamedTuple):
 class ZReport(NamedTuple):
     """All cells for the bins populated in either corpus, in bin/class order."""
 
-    spec: BinSpec
     class_names: tuple[str, ...]
     cells: tuple[ZCell, ...]
 
@@ -204,7 +203,7 @@ def z_scores(focus: NullModel, null: NullModel, class_names: Sequence[str]) -> Z
                     reason=reason,
                 )
             )
-    return ZReport(spec, tuple(class_names), tuple(cells))
+    return ZReport(tuple(class_names), tuple(cells))
 
 
 LABEL_RARE = "rare"
@@ -214,7 +213,7 @@ LABEL_EQUAL = "equal"
 
 
 class ExpressionReport(NamedTuple):
-    """Z-report plus per-cell labels and a per-class summary.
+    """Per-cell labels and a per-class summary for a Z-report.
 
     A class is rare when no bin's mean count (in either corpus) clears the
     rarity threshold; its cells are all labeled rare. Otherwise each defined
@@ -223,9 +222,7 @@ class ExpressionReport(NamedTuple):
     Undefined non-rare cells carry an empty label.
     """
 
-    report: ZReport
-    rarity_threshold: float
-    cell_labels: tuple[str, ...]  # parallel to report.cells
+    cell_labels: tuple[str, ...]  # parallel to the Z-report's cells
     class_labels: Mapping[str, frozenset[str]]
 
 
@@ -257,4 +254,4 @@ def classify_expression(
             class_labels[cell.class_name].add(label)
         cell_labels.append(label)
     summary = {name: frozenset(labels or {LABEL_EQUAL}) for name, labels in class_labels.items()}
-    return ExpressionReport(report, rarity_threshold, tuple(cell_labels), summary)
+    return ExpressionReport(tuple(cell_labels), summary)

@@ -215,16 +215,14 @@ def _index_thread(
     )
 
 
-def parse_thread_line(line: str | bytes, line_no: int = 1) -> ThreadRecord:
-    """Parse and validate a single corpus line, given as text or UTF-8 bytes.
+def parse_thread_line(line: bytes, line_no: int = 1) -> ThreadRecord:
+    """Parse and validate a single corpus line, given as UTF-8 bytes.
 
     Faults are reported in this order: UTF-8 or JSON, a line that is not an
     object, then the thread's (see ``_index_thread``).
     """
     try:
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
-        obj = json.loads(line)
+        obj = json.loads(line.decode("utf-8"))
     except UnicodeDecodeError as err:
         message = f"invalid UTF-8 ({err.reason} at byte offset {err.start})"
         raise CorpusParseError(line_no, message) from err
@@ -240,22 +238,22 @@ def parse_thread_line(line: str | bytes, line_no: int = 1) -> ThreadRecord:
 
 
 def parse_numbered(
-    lines: Iterable[str | bytes],
+    lines: Iterable[bytes],
     on_error: Callable[[CorpusParseError | ThreadValidationError], None] | None = None,
     first_line: int = 1,
 ) -> Iterator[tuple[int, ThreadRecord]]:
     """Yield (line number, thread) per well-formed thread of a corpus dump.
 
-    Lines may be text or bytes; bytes are decoded line by line, so an
-    undecodable line is reported like any other malformed one. A blank
-    line, text or bytes, holds only JSON whitespace (space, tab, CR, LF)
-    and is skipped without a report. When ``on_error`` is given, each
-    malformed line or invalid thread is reported to it and parsing
-    continues; when it is None the first error is raised. ``lines[0]`` is numbered ``first_line``, so a
-    caller that parses a dump in pieces keeps the dump's line numbers.
+    Lines are UTF-8 bytes, decoded one at a time, so an undecodable line is
+    reported like any other malformed one. A blank line holds only JSON
+    whitespace (space, tab, CR, LF) and is skipped without a report. When
+    ``on_error`` is given, each malformed line or invalid thread is reported
+    to it and parsing continues; when it is None the first error is raised.
+    ``lines[0]`` is numbered ``first_line``, so a caller that parses a dump
+    in pieces keeps the dump's line numbers.
     """
     for line_no, line in enumerate(lines, start=first_line):
-        if not line.strip(b" \t\r\n" if isinstance(line, bytes) else " \t\r\n"):
+        if not line.strip(b" \t\r\n"):
             continue
         try:
             yield line_no, parse_thread_line(line, line_no)

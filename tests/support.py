@@ -210,14 +210,12 @@ def instances_oracle(g: UserGraph, cls: AnchoredTriadClass) -> list[tuple[int, i
     ]
 
 
-def parse_oracle(line: str | bytes, line_no: int = 1) -> ThreadRecord:
+def parse_oracle(line: bytes, line_no: int = 1) -> ThreadRecord:
     """parse_thread_line as a two-pass validator: check every post's fields,
     then index the posts in separate passes (ids, roots, parents, a walk
     from the root, authors)."""
     try:
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
-        obj = json.loads(line)
+        obj = json.loads(line.decode("utf-8"))
     except UnicodeDecodeError as err:
         message = f"invalid UTF-8 ({err.reason} at byte offset {err.start})"
         raise CorpusParseError(line_no, message) from err

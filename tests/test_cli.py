@@ -1510,7 +1510,7 @@ class TestSpecialText:
     @example(line=special_line("t", "\r"))
     def test_written_rows_read_back_whole(self, tmp_path, capsys, line):
         try:
-            thread = parse_thread_line(line)
+            thread = parse_thread_line(line.encode())
         except ThreadValidationError:
             return
         timed = cli._timing_rows(thread, "201-b")

@@ -284,7 +284,7 @@ def hand_report(rows):
             )
         )
     names = tuple(dict.fromkeys(cell.class_name for cell in cells))
-    return ZReport(BinSpec(), names, tuple(cells))
+    return ZReport(names, tuple(cells))
 
 
 class TestClassifyExpression:

@@ -29,8 +29,8 @@ FIELDS = {
         "bin_index bin_label class_name m_baseline mu_null sigma_null se_null n_focus "
         "mean_focus sigma_focus se_focus z reason"
     ),
-    tm.ZReport: "spec class_names cells",
-    tm.ExpressionReport: "report rarity_threshold cell_labels class_labels",
+    tm.ZReport: "class_names cells",
+    tm.ExpressionReport: "cell_labels class_labels",
 }
 
 

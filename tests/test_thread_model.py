@@ -24,13 +24,13 @@ from threadmotifs.thread_model import (
 from support import make_thread, parse_oracle, synth_corpus, to_json_line
 
 
-def thread_json(thread_id="t", source="focus", posts=None) -> str:
+def thread_json(thread_id="t", source="focus", posts=None) -> bytes:
     if posts is None:
         posts = [
             {"id": "p0", "parent": None, "author": "a", "t": 0},
             {"id": "p1", "parent": "p0", "author": "b", "t": 5},
         ]
-    return json.dumps({"thread_id": thread_id, "source": source, "posts": posts})
+    return json.dumps({"thread_id": thread_id, "source": source, "posts": posts}).encode()
 
 
 class TestParse:
@@ -56,7 +56,7 @@ class TestParse:
     def test_bad_middle_thread_does_not_abort(self):
         lines = [
             thread_json(thread_id="t1"),
-            "{this is not json",
+            b"{this is not json",
             thread_json(thread_id="t3"),
         ]
         errors = []
@@ -67,14 +67,14 @@ class TestParse:
 
     def test_first_line_numbers_a_later_piece(self):
         errors = []
-        lines = ["{broken", "", thread_json(), "[]"]
+        lines = [b"{broken", b"", thread_json(), b"[]"]
         numbered = list(parse_numbered(lines, on_error=errors.append, first_line=40))
         assert [(n, t.thread_id) for n, t in numbered] == [(42, "t")]
         assert [e.line_no for e in errors] == [40, 43]
 
     def test_malformed_line_raises_with_line_number(self):
         with pytest.raises(CorpusParseError) as exc:
-            list(parse_numbered([thread_json(), "[]"]))
+            list(parse_numbered([thread_json(), b"[]"]))
         assert exc.value.line_no == 2
 
     def test_duplicate_post_id_rejected(self):
@@ -150,39 +150,47 @@ class TestParse:
                 parse_thread_line(line(t))
 
     @pytest.mark.parametrize(
-        "text, reason",
+        "line, reason",
         [
-            ("[" * 200_000, "line 3: JSON nested too deeply"),
-            ('{"t": ' + "7" * 5000 + "}", "line 3: JSON integer has too many digits"),
+            (b"[" * 200_000, "line 3: JSON nested too deeply"),
+            (b'{"t": ' + b"7" * 5000 + b"}", "line 3: JSON integer has too many digits"),
+            # Given bytes, json.loads would guess UTF-16, skip a BOM and pass
+            # lone surrogates; decoding as UTF-8 first rejects all three.
+            (
+                b'{"thread_id": "t\xed\xa0\x80"}',
+                "line 3: invalid UTF-8 (invalid continuation byte at byte offset 16)",
+            ),
+            ("{}".encode("utf-16"), "line 3: invalid UTF-8 (invalid start byte at byte offset 0)"),
+            (
+                b"\xef\xbb\xbf{}",
+                "line 3: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))",
+            ),
         ],
-        ids=["deep-nesting", "long-integer"],
+        ids=["deep-nesting", "long-integer", "lone-surrogate", "utf-16", "utf-8-bom"],
     )
-    def test_decoder_limits_are_parse_errors(self, text, reason):
-        for line in (text, text.encode()):
-            with pytest.raises(CorpusParseError) as info:
-                parse_thread_line(line, 3)
-            assert str(info.value) == reason
+    def test_decoder_limits_are_parse_errors(self, line, reason):
+        with pytest.raises(CorpusParseError) as info:
+            parse_thread_line(line, 3)
+        assert str(info.value) == reason
 
     def test_blank_lines_skipped(self):
-        numbered = list(parse_numbered(["", thread_json(), "   \n"]))
+        numbered = list(parse_numbered([b"", thread_json(), b"   \n"]))
         assert [n for n, _ in numbered] == [2]
 
-    def test_only_json_whitespace_is_blank_in_text_and_bytes(self):
-        # str.strip and bytes.strip each remove characters that json.loads
-        # rejects: "\xa0", "\x1c" and "\u2028" from text alone, "\x0b" and
-        # "\x0c" from both.
+    def test_only_json_whitespace_is_blank(self):
+        # bytes.strip() would also remove "\x0b" and "\x0c", which json.loads
+        # rejects, as it rejects the UTF-8 of "\xa0", "\x1c" and "\u2028".
         def outcome(line):
             errors = []
             return list(parse_numbered([line], lambda err: errors.append(str(err)))), errors
 
         for text in (" \t", "\x0b", "\x0c", "\xa0", "\x1c", "\u2028"):
-            assert outcome(text) == outcome(text.encode()), repr(text)
             expected = [] if text == " \t" else ["line 1: invalid JSON (Expecting value)"]
-            assert outcome(text) == ([], expected), repr(text)
+            assert outcome(text.encode()) == ([], expected), repr(text)
 
     def test_round_trip(self):
         originals = synth_corpus(20, "focus", reply_back_prob=0.4, seed=7)
-        lines = [to_json_line(t) for t in originals]
+        lines = [to_json_line(t).encode() for t in originals]
         reparsed = [t for _, t in parse_numbered(lines)]
         assert reparsed == originals
 
@@ -205,10 +213,10 @@ ODD_VALUES = st.sampled_from(
 
 @st.composite
 def corpus_lines(draw):
-    """Lines that are mostly trees in shuffled post order, some with faults:
-    bad or missing fields, a 'posts' that is not an array, posts that are not
-    objects, repeated or unknown ids, extra roots, cycles, lone surrogates and
-    carriage returns."""
+    """Lines of bytes that are mostly trees in shuffled post order, some with
+    faults: bad or missing fields, a 'posts' that is not an array, posts that
+    are not objects, repeated or unknown ids, extra roots, cycles, lone
+    surrogates (escaped, or raw and so not UTF-8) and carriage returns."""
     n = draw(st.integers(0, 6))
     posts = [
         {
@@ -242,7 +250,9 @@ def corpus_lines(draw):
         if draw(st.booleans()):
             del thread["posts"]
     line = json.dumps(thread, ensure_ascii=draw(st.booleans()))
-    return line.encode() if draw(st.booleans()) and line.isascii() else line
+    # A raw lone surrogate becomes bytes that are not UTF-8; an escaped one
+    # stays ASCII and reaches the thread's own lone-surrogate check.
+    return line.encode("utf-8", "surrogatepass")
 
 
 @st.composite
@@ -264,7 +274,7 @@ def tree_posts(draw):
 
 
 def _line(*posts, thread_id="t", source="focus"):
-    return json.dumps({"thread_id": thread_id, "source": source, "posts": list(posts)})
+    return json.dumps({"thread_id": thread_id, "source": source, "posts": list(posts)}).encode()
 
 
 ROOT = {"id": "p0", "parent": None, "author": "a", "t": 0}
@@ -297,7 +307,8 @@ class TestParseOracle:
         line=_line({**ROOT, "author": 5}, 7), line_no=1
     )
     @example(line=_line({**ROOT, "author": "\ud800"}), line_no=1)  # escaped lone surrogate
-    @example(line='{"thread_id": "t", "source": "focus", "posts": {}}', line_no=1)
+    @example(line=b'{"thread_id": "t\xed\xa0\x80"}', line_no=1)  # raw lone surrogate
+    @example(line=b'{"thread_id": "t", "source": "focus", "posts": {}}', line_no=1)
     def test_parse_matches_oracle(self, line, line_no):
         assert _outcome(parse_thread_line, line, line_no) == _outcome(
             parse_oracle, line, line_no
@@ -327,7 +338,7 @@ class TestParseOracle:
             record = ThreadRecord.from_posts(thread_id, source, posts)
         except ThreadValidationError:
             return
-        assert parse_thread_line(to_json_line(record)) == record
+        assert parse_thread_line(to_json_line(record).encode()) == record
 
 
 # (thread_id, source, fields of post p1): inputs that from_posts once accepted
