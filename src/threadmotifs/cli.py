@@ -149,27 +149,19 @@ def _thread_rows(
 ) -> Iterator[list]:
     """Yield row_fn's rows, one list per kept thread of ``args.input``, in input order.
 
-    The main process cuts the input into line batches as it reads it. When
-    ``args.jobs`` > 1 and the input gives at least two batches, up to
-    ``args.jobs`` worker processes run _batch_rows on them; otherwise the
-    main process does. Problems go to stderr as the batches come back; a
-    thread whose id an earlier valid thread already has is skipped, whatever
-    the filter makes of either.
+    The main process cuts the input into line batches as it reads it, and
+    _ordered_map decides whether it or up to ``args.jobs`` worker processes
+    run _batch_rows on them. Problems go to stderr as the batches come back;
+    a thread whose id an earlier valid thread already has is skipped,
+    whatever the filter makes of either.
     """
     policy = FilterPolicy(
         args.min_extra_posts, args.drop_deleted_root, args.deleted_sentinel
     )
     batch_rows = partial(_batch_rows, row_fn, policy)
-    batches = _line_batches(args.input)
-    head = list(itertools.islice(batches, 2))  # one batch is not worth a worker
-    batches = itertools.chain(head, batches)
-    if args.jobs > 1 and len(head) > 1:
-        results = _ordered_map(batch_rows, batches, args.jobs)
-    else:
-        results = itertools.starmap(batch_rows, batches)
     skipped = parsed = kept = 0
     first_line_of: dict[str, int] = {}
-    for items in results:
+    for items in _ordered_map(batch_rows, _line_batches(args.input), args.jobs):
         for item in items:
             if isinstance(item, str):
                 _diag(f"warning: skipped {item}")
@@ -226,44 +218,50 @@ def _exited(worker) -> ThreadMotifsError:
     return ThreadMotifsError(f"worker process exited unexpectedly (exit code {worker.exitcode})")
 
 
-def _ordered_map(fn: Callable, items: Iterable[tuple], jobs: int) -> Iterator:
-    """Yield fn(*item) for each item, in input order, computed in worker processes.
+def _ordered_map(fn: Callable, items: Iterator[tuple], jobs: int) -> Iterator:
+    """Yield fn(*item) for each item, in input order.
 
-    The parent sends each item to an idle worker, over that worker's own
-    pipe, and starts a worker only when none is idle and fewer than ``jobs``
-    run. Each worker holds one item at a time and the parent sends only to
-    an idle one, so no item or result size can fill both ends of a pipe. A
-    result that comes back before an earlier item's waits in the parent, so
-    a slow item holds up no worker. The parent runs no threads: it sleeps in
-    ``wait`` until a worker replies or exits, and a worker that exits is an
-    error, not a hang.
+    If the first ``jobs`` items are fewer than two, this process computes
+    every item: one is not worth a worker. Otherwise one worker process per
+    such item starts before the first send, and each item goes to an idle
+    worker over that worker's own pipe, so a worker holds one item at a time
+    and no item or result size can fill both ends of a pipe. A result that
+    comes back before an earlier item's waits here, so a slow item holds up
+    no worker. The parent runs no threads: it sleeps in ``wait`` until a
+    worker replies or exits, and a worker that exits is an error, not a
+    hang. Workers are daemonic, or an exception that leaves the program
+    holding this generator, as a failed stderr write can, would leave the
+    exit handler joining workers that wait forever.
     """
+    head = list(itertools.islice(items, jobs))
+    if len(head) < 2:
+        yield from itertools.starmap(fn, itertools.chain(head, items))
+        return
     import multiprocessing  # here, so serial runs never load multiprocessing
     from multiprocessing.connection import wait
 
-    todo = enumerate(items)
+    todo = enumerate(itertools.chain(head, items))
     workers = {}  # parent end -> its worker process
     held = {}  # parent end -> index of the item its worker holds
     done = {}  # index -> (ok, result) of items finished but not yet yielded
     yielded = 0
     try:
+        for _ in head:
+            conn, child_end = multiprocessing.Pipe()
+            worker = multiprocessing.Process(
+                target=_serve, args=(fn, child_end, [*workers, conn])
+            )
+            worker.daemon = True
+            worker.start()
+            # Now only the worker holds its end, so its exit reads as EOF.
+            child_end.close()
+            workers[conn] = worker
+        idle = list(workers)  # parent ends whose worker holds no item
         while True:
             # Send items out before yielding, so workers compute while the
             # caller consumes a result.
-            while len(held) < jobs:
-                index, item = next(todo, (None, None))
-                if index is None:
-                    break
-                conn = next((end for end in workers if end not in held), None)
-                if conn is None:
-                    conn, child_end = multiprocessing.Pipe()
-                    worker = multiprocessing.Process(
-                        target=_serve, args=(fn, child_end, [*workers, conn])
-                    )
-                    worker.start()
-                    # Now only the worker holds its end, so its exit reads as EOF.
-                    child_end.close()
-                    workers[conn] = worker
+            for index, item in itertools.islice(todo, len(idle)):
+                conn = idle.pop()
                 try:
                     conn.send(item)
                 except OSError:  # the worker is gone
@@ -283,6 +281,7 @@ def _ordered_map(fn: Callable, items: Iterable[tuple], jobs: int) -> Iterator:
                         done[held.pop(conn)] = conn.recv()
                     except (EOFError, OSError):  # the worker is gone
                         raise _exited(workers[conn]) from None
+                    idle.append(conn)
     finally:
         for conn, worker in workers.items():
             conn.close()

@@ -38,13 +38,17 @@ def to_json_line(thread: ThreadRecord) -> str:
     )
 
 
-def run_python(script, *args, timeout=60):
-    """Run a Python script in a fresh interpreter that imports this package."""
+def run_python(script, *args, timeout=60, stderr=subprocess.PIPE):
+    """Run a Python script in a fresh interpreter that imports this package.
+
+    Its stdout is captured, and its stderr too unless ``stderr`` names
+    another target, as subprocess.run takes it.
+    """
     src = Path(threadmotifs.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
         [sys.executable, "-c", script, *map(str, args)],
-        env=env, capture_output=True, text=True, timeout=timeout,
+        env=env, stdout=subprocess.PIPE, stderr=stderr, text=True, timeout=timeout,
     )
 
 

@@ -300,6 +300,7 @@ class TestCensusCommand:
             """Stands in for multiprocessing.Process: serves batches on a thread."""
 
             started = []
+            daemon = False
 
             def __init__(self, target, args):
                 fn, conn, parent_ends = args
@@ -312,6 +313,7 @@ class TestCensusCommand:
                 self.thread = threading.Thread(target=target, args=(fn, conn, parent_ends))
 
             def start(self):
+                self.daemon_at_start = self.daemon
                 self.started.append(self)
                 self.thread.start()
 
@@ -333,6 +335,7 @@ class TestCensusCommand:
         monkeypatch.setattr(cli, "BATCH_BYTES", 1)
         assert main([*args, "--out", str(tmp_path / "many")]) == 0
         assert len(ThreadWorker.started) == 3
+        assert all(worker.daemon_at_start is True for worker in ThreadWorker.started)
         assert (tmp_path / "one" / "census.csv").read_bytes() == (
             tmp_path / "many" / "census.csv"
         ).read_bytes()
@@ -1126,22 +1129,82 @@ def test_worker_exception_is_raised_in_input_order(tmp_path):
     assert not (tmp_path / "j2" / "census.csv").exists()
 
 
+# Runs census, one line per batch, with two usable processors. With argv[4]
+# "held", every _ordered_map generator stays referenced until the interpreter
+# exits, as it does when a caller has bound it to a name that a traceback keeps.
+CENSUS_TWO_CPUS = (
+    "import os, sys\n"
+    "from threadmotifs import cli\n"
+    "os.sched_getaffinity = lambda pid: {0, 1}\n"
+    "cli.BATCH_BYTES = 1\n"
+    "if sys.argv[4] == 'held':\n"
+    "    held, ordered_map = [], cli._ordered_map\n"
+    "    def holding_map(*args):\n"
+    "        held.append(ordered_map(*args))\n"
+    "        return held[-1]\n"
+    "    cli._ordered_map = holding_map\n"
+    "sys.exit(cli.main(['census', '--input', sys.argv[1], '--out', sys.argv[2],"
+    " '--jobs', sys.argv[3]]))\n"
+)
+
+
+@pytest.mark.parametrize("generator", ["freed", "held"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unwritable_stderr_exits_at_any_jobs(tmp_path, jobs, generator):
+    """A run whose warnings cannot be written exits 1 and leaves no worker behind.
+
+    The failed warning, and then the failed error line, leave ``main`` by an
+    exception; the interpreter must still exit instead of waiting for workers,
+    whether or not that exception's traceback keeps the workers' generator.
+    The workers share the captured stdout, so a run returns only once every
+    worker has exited too.
+    """
+    lines = []
+    for i in range(20):
+        lines += [to_json_line(filler_thread(f"t{i}")), "{broken"]
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text("\n".join(lines) + "\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # so every write to the pipe fails
+    targets = [write_end]
+    if os.path.exists("/dev/full"):  # every write to it fails: no space left
+        targets.append(os.open("/dev/full", os.O_WRONLY))
+    try:
+        for n, stderr in enumerate(targets):
+            out = tmp_path / f"out{n}"
+            proc = run_python(
+                CENSUS_TWO_CPUS, corpus, out, jobs, generator, timeout=30, stderr=stderr
+            )
+            assert proc.returncode == 1
+            assert not (out / "census.csv").exists()
+    finally:
+        for fd in targets:
+            os.close(fd)
+
+
 def test_cli_import_leaves_numpy_out(tmp_path):
-    """Start-up, and a serial census after it, load none of these modules."""
+    """Start-up, and serial censuses after it, load none of these modules.
+
+    The corpus is one batch, so it runs serially at --jobs 2 as well.
+    """
     corpus = write_corpus(tmp_path / "c.jsonl", [filler_thread("t1"), filler_thread("t2")])
-    out = tmp_path / "out"
     script = (
-        "import sys, threadmotifs.cli\n"
+        "import os, sys, threadmotifs.cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "unwanted = ('numpy', 'dataclasses', 'multiprocessing', 'fractions')\n"
         "print([m for m in unwanted if m in sys.modules])\n"
-        "code = threadmotifs.cli.main(['census', '--input', sys.argv[1], '--out', sys.argv[2],"
-        " '--jobs', '1'])\n"
-        "print(code, [m for m in unwanted if m in sys.modules])\n"
+        "for jobs, out in (('1', sys.argv[2]), ('2', sys.argv[3])):\n"
+        "    code = threadmotifs.cli.main(['census', '--input', sys.argv[1], '--out', out,"
+        " '--jobs', jobs])\n"
+        "    print(code, [m for m in unwanted if m in sys.modules])\n"
     )
-    proc = run_python(script, corpus, out)
+    proc = run_python(script, corpus, tmp_path / "j1", tmp_path / "j2")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "0 []"]
-    assert len(read_rows(out / "census.csv")) == 3
+    assert proc.stdout.splitlines() == ["[]", "0 []", "0 []"]
+    assert len(read_rows(tmp_path / "j1" / "census.csv")) == 3
+    assert (tmp_path / "j2" / "census.csv").read_bytes() == (
+        tmp_path / "j1" / "census.csv"
+    ).read_bytes()
 
 
 def test_failed_csv_write_keeps_previous_file(tmp_path):
