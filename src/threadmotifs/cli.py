@@ -11,6 +11,7 @@ code of every outcome, ``--help`` included: 0 success, 1 input error,
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
@@ -189,8 +190,9 @@ def _thread_rows(
 
 
 def _serve(fn: Callable, conn, parent_ends: list) -> None:
-    """Worker loop: reply to each item the parent sends with (ok, fn(*item) or error).
+    """Worker loop: reply to each item the parent sends with fn(*item).
 
+    An exception in fn ends the worker with its traceback and exit code 1.
     Under fork the worker inherits the parent's end of every worker's pipe,
     its own included. It closes them, so once the parent is gone ``recv``
     reads EOF, or ``send`` fails, and the worker exits instead of waiting
@@ -200,22 +202,9 @@ def _serve(fn: Callable, conn, parent_ends: list) -> None:
         end.close()
     try:
         while True:
-            item = conn.recv()
-            try:
-                reply = True, fn(*item)
-            except Exception as err:  # the parent re-raises it in input order
-                from multiprocessing.pool import ExceptionWithTraceback
-
-                reply = False, ExceptionWithTraceback(err, err.__traceback__)
-            conn.send(reply)
-    except (EOFError, OSError):  # the parent closed its end or is gone
+            conn.send(fn(*conn.recv()))
+    except (EOFError, ConnectionError):  # the parent closed its end or is gone
         return
-
-
-def _exited(worker) -> ThreadMotifsError:
-    """The error for a worker process that is gone before the run is done."""
-    worker.join()
-    return ThreadMotifsError(f"worker process exited unexpectedly (exit code {worker.exitcode})")
 
 
 def _ordered_map(fn: Callable, items: Iterator[tuple], jobs: int) -> Iterator:
@@ -228,10 +217,11 @@ def _ordered_map(fn: Callable, items: Iterator[tuple], jobs: int) -> Iterator:
     and no item or result size can fill both ends of a pipe. A result that
     comes back before an earlier item's waits here, so a slow item holds up
     no worker. The parent runs no threads: it sleeps in ``wait`` until a
-    worker replies or exits, and a worker that exits is an error, not a
-    hang. Workers are daemonic, or an exception that leaves the program
-    holding this generator, as a failed stderr write can, would leave the
-    exit handler joining workers that wait forever.
+    worker replies or is gone. A gone worker, one that raised included,
+    reads EOF there (a send to it fails quietly), and the run stops with
+    its exit code. Workers are daemonic, or an exception that leaves the
+    program holding this generator, as a failed stderr write can, would
+    leave the exit handler joining workers that wait forever.
     """
     head = list(itertools.islice(items, jobs))
     if len(head) < 2:
@@ -243,7 +233,7 @@ def _ordered_map(fn: Callable, items: Iterator[tuple], jobs: int) -> Iterator:
     todo = enumerate(itertools.chain(head, items))
     workers = {}  # parent end -> its worker process
     held = {}  # parent end -> index of the item its worker holds
-    done = {}  # index -> (ok, result) of items finished but not yet yielded
+    done = {}  # index -> result of items finished but not yet yielded
     yielded = 0
     try:
         for _ in head:
@@ -262,17 +252,12 @@ def _ordered_map(fn: Callable, items: Iterator[tuple], jobs: int) -> Iterator:
             # caller consumes a result.
             for index, item in itertools.islice(todo, len(idle)):
                 conn = idle.pop()
-                try:
+                with contextlib.suppress(OSError):  # a gone worker reads EOF below
                     conn.send(item)
-                except OSError:  # the worker is gone
-                    raise _exited(workers[conn]) from None
                 held[conn] = index
             if yielded in done:
-                ok, result = done.pop(yielded)
+                yield done.pop(yielded)
                 yielded += 1
-                if not ok:
-                    raise result
-                yield result
             elif not held:
                 return
             else:
@@ -280,7 +265,11 @@ def _ordered_map(fn: Callable, items: Iterator[tuple], jobs: int) -> Iterator:
                     try:
                         done[held.pop(conn)] = conn.recv()
                     except (EOFError, OSError):  # the worker is gone
-                        raise _exited(workers[conn]) from None
+                        worker = workers[conn]
+                        worker.join()
+                        raise ThreadMotifsError(
+                            f"worker process exited unexpectedly (exit code {worker.exitcode})"
+                        ) from None
                     idle.append(conn)
     finally:
         for conn, worker in workers.items():
@@ -665,7 +654,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args.run(args)
     except (OSError, ThreadMotifsError) as err:
-        _diag(f"error: {err}")
+        with contextlib.suppress(OSError):  # stderr may be what failed
+            _diag(f"error: {err}")
         return EXIT_INPUT
     return EXIT_OK
 

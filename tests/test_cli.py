@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import itertools
 import json
 import math
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -796,7 +798,11 @@ class TestBatchPath:
     ):
         whole = self.run_all(tmp_path, hostile_corpus, "whole", "1", capsys)
         monkeypatch.setattr(cli, "BATCH_BYTES", batch_bytes)
-        assert len(list(cli._line_batches(hostile_corpus))) > 4
+        batches = list(cli._line_batches(hostile_corpus))
+        assert len(batches) > 4
+        data = hostile_corpus.read_bytes()
+        assert b"".join(chunk for _, chunk in batches) == data
+        assert [line for b in batches for line in b[1].splitlines()] == data.splitlines()
         for jobs in ("1", "2"):
             assert self.run_all(tmp_path, hostile_corpus, f"j{jobs}", jobs, capsys) == whole
         census_err = whole[1][0]
@@ -824,15 +830,6 @@ class TestBatchPath:
         assert b"".join(chunk for _, chunk in batches) == corpus.read_bytes()
         for jobs in ("1", "2"):
             assert self.run_all(tmp_path, corpus, f"j{jobs}", jobs, capsys) == whole
-
-    @pytest.mark.parametrize("batch_bytes", [1, 3000])
-    def test_ranges_cover_the_hostile_corpus(self, hostile_corpus, monkeypatch, batch_bytes):
-        monkeypatch.setattr(cli, "BATCH_BYTES", batch_bytes)
-        batches = list(cli._line_batches(hostile_corpus))
-        assert len(batches) > 4
-        data = hostile_corpus.read_bytes()
-        assert b"".join(chunk for _, chunk in batches) == data
-        assert [line for b in batches for line in b[1].splitlines()] == data.splitlines()
 
     @settings(
         max_examples=300, deadline=None,
@@ -1041,7 +1038,7 @@ GONE_BEFORE_THE_NEXT_BATCH = (
     "def serve_once(fn, conn, parent_ends):\n"
     "    for end in parent_ends:\n"
     "        end.close()\n"
-    "    conn.send((True, fn(*conn.recv())))\n"
+    "    conn.send(fn(*conn.recv()))\n"
     "    os._exit(3)\n"
     "multiprocessing.connection.wait = slow_wait\n"
     "cli._serve = serve_once\n"
@@ -1113,19 +1110,25 @@ def test_workers_exit_after_the_main_process_is_killed(tmp_path):
 
 
 @needs_fork
-def test_worker_exception_is_raised_in_input_order(tmp_path):
+def test_worker_exception_ends_the_run_as_a_dead_worker(tmp_path):
+    """At --jobs 1 the row function's error is the run's error; a worker that
+    raises prints its traceback and exits 1, and the run reports it gone."""
     lines = [to_json_line(filler_thread(f"t{i}")) for i in range(6)]
-    lines[2:2] = ["not json"]  # before t3: reported
+    lines[2:2] = ["not json"]  # before t3: reported at --jobs 1
     lines[5:5] = ["not json either"]  # after t3: never reached
     corpus = tmp_path / "c.jsonl"
     corpus.write_text("\n".join(lines) + "\n")
     runs = [run_python(FAULTY_CENSUS, "raise", corpus, tmp_path / f"j{jobs}", jobs) for jobs in (1, 2)]
     assert [(p.returncode, p.stdout) for p in runs] == [(1, ""), (1, "")]
-    assert runs[1].stderr == runs[0].stderr
     assert runs[0].stderr.splitlines() == [
         "warning: skipped line 3: invalid JSON (Expecting value)",
         "error: row function failed on t3",
     ]
+    assert runs[1].stderr.splitlines()[-1] == (
+        "error: worker process exited unexpectedly (exit code 1)"
+    )
+    assert "ThreadMotifsError: row function failed on t3" in runs[1].stderr
+    assert "line 6" not in runs[1].stderr
     assert not (tmp_path / "j2" / "census.csv").exists()
 
 
@@ -1180,6 +1183,30 @@ def test_unwritable_stderr_exits_at_any_jobs(tmp_path, jobs, generator):
     finally:
         for fd in targets:
             os.close(fd)
+
+
+class FullStderr:
+    """A stderr whose every write fails, as one on a full device does."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_unwritable_error_line_still_returns_1(tmp_path, monkeypatch, jobs):
+    """The failed warning ends the run, and the failed error line after it
+    leaves ``main`` returning 1, not raising."""
+    lines = []
+    for i in range(4):
+        lines += [to_json_line(filler_thread(f"t{i}")), "{broken"]
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(cli, "BATCH_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sys, "stderr", FullStderr())
+    out = tmp_path / "out"
+    assert main(["census", "--input", str(corpus), "--out", str(out), "--jobs", jobs]) == 1
+    assert not (out / "census.csv").exists()
 
 
 def test_cli_import_leaves_numpy_out(tmp_path):
@@ -1655,12 +1682,25 @@ _FUZZ = settings(
 @given(data=_corpora, command=st.sampled_from(CORPUS_COMMANDS))
 @example(data=b"[" * 200_000, command=["census"])
 @example(data=HUGE_GAPS.encode(), command=["macro"])
-def test_any_corpus_bytes_exit_cleanly(tmp_path, data, command):
+def test_any_corpus_bytes_exit_cleanly(tmp_path, monkeypatch, capsys, data, command):
+    """Any corpus exits 0, with the same CSVs and stderr at --jobs 1 and at
+    --jobs 2 with one line per batch: no input makes a row function raise."""
     corpus = tmp_path / "fuzz.jsonl"
     corpus.write_bytes(data)
-    argv = [*command, "--input", str(corpus), "--out", str(tmp_path / "out"),
-            "--min-extra-posts", "0", "--jobs", "1"]
-    assert main(argv) in (0, 1, 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def run(jobs):
+        out = tmp_path / f"j{jobs}"
+        shutil.rmtree(out, ignore_errors=True)  # left by an earlier example
+        argv = [*command, "--input", str(corpus), "--out", str(out),
+                "--min-extra-posts", "0", "--jobs", jobs]
+        assert main(argv) == 0
+        return csv_files(out), capsys.readouterr().err
+
+    serial = run("1")
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "BATCH_BYTES", 1)
+        assert run("2") == serial
 
 
 @_FUZZ
