@@ -114,8 +114,7 @@ def _line_batches(path: Path) -> Iterator[tuple[int, bytes]]:
             if cut:  # else a line longer than the block: join its blocks once
                 data = b"".join([*held, block[:cut]])
                 yield first_line, data
-                # Without a \r every line ends in \n: count them without a list.
-                first_line += len(data.splitlines()) if b"\r" in data else data.count(b"\n")
+                first_line += len(data.splitlines())
                 held = []
             held.append(block[cut:])
     data = b"".join(held)

@@ -15,14 +15,12 @@ seconds and are not required to be monotone along parent links.
 from __future__ import annotations
 
 import json
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import CorpusParseError, ThreadValidationError
 
 SOURCES = ("focus", "baseline")
 DELETED_SENTINEL = "[deleted]"
-_POST_FIELDS = itemgetter("id", "parent", "author", "t")
 
 
 class PostRecord(NamedTuple):
@@ -136,15 +134,11 @@ def _index_thread(
     # Set when some parent is not an earlier post: a later one, the post
     # itself, or none at all.
     forward = False
-    for raw in posts:
-        try:
-            pid, parent, author, t = _POST_FIELDS(raw)
-        except (KeyError, TypeError):  # a missing field, or not an object
-            if not isinstance(raw, dict):
-                bad_field("each post must be a JSON object")
-            pid, parent, author, t = (
-                raw.get("id"), raw.get("parent"), raw.get("author"), raw.get("t")
-            )
+    for i, raw in enumerate(posts):
+        if not isinstance(raw, dict):
+            bad_field("each post must be a JSON object")
+        pid, parent = raw.get("id"), raw.get("parent")
+        author, t = raw.get("author"), raw.get("t")
         if not (isinstance(pid, str) and pid):
             bad_field("post 'id' must be a non-empty string")
         if not (parent is None or isinstance(parent, str)):
@@ -155,10 +149,8 @@ def _index_thread(
             bad_field(f"post {pid!r}: 't' must be an integer")
         if not -(2**63) <= t < 2**63:
             bad_field(f"post {pid!r}: 't' out of range")
-        # len(index) is this post's index until a duplicate id, which is
-        # raised once the loop has checked the later posts' fields.
         if parent is None:
-            roots.append(len(index))
+            roots.append(i)
             parent_of.append(None)
         else:
             # Resolved before this post's own id goes in, so a post that is its
@@ -167,10 +159,8 @@ def _index_thread(
             if p < 0:
                 forward = True
             parent_of.append(p)
-        if pid in index:
+        if index.setdefault(pid, i) != i:
             duplicate = duplicate or pid
-        else:
-            index[pid] = len(index)
         author_of.append(user_index.setdefault(author, len(user_index)))
         timestamps.append(t)
     if duplicate:

@@ -306,6 +306,10 @@ class TestParseOracle:
     @example(  # a non-object post after a post with a bad field
         line=_line({**ROOT, "author": 5}, 7), line_no=1
     )
+    @example(line=_line(7, ROOT), line_no=1)  # a first post that is not an object
+    @example(line=_line([None], ROOT), line_no=1)
+    @example(line=_line({"parent": None, "author": "a", "t": 0}), line_no=1)  # no "id"
+    @example(line=_line({"id": "p0", "parent": None, "author": "a"}), line_no=1)  # no "t"
     @example(line=_line({**ROOT, "author": "\ud800"}), line_no=1)  # escaped lone surrogate
     @example(line=b'{"thread_id": "t\xed\xa0\x80"}', line_no=1)  # raw lone surrogate
     @example(line=b'{"thread_id": "t", "source": "focus", "posts": {}}', line_no=1)
