@@ -1,12 +1,13 @@
 """Command-line pipelines: corpus dumps in, CSV reports out.
 
 Subcommands: macro, census, compare, timing, degrees, classes. Every
-command is a file-to-file batch step; diagnostics (parse errors, skipped
-threads) go to stderr, never into data files. The argument parser holds
-each flag's default and check, so every configuration error is its usage
-line plus ``error: argument --flag: <reason>``. ``main`` returns the exit
-code of every outcome, ``--help`` included: 0 success, 1 input error,
-2 configuration error.
+command but classes is a file-to-file batch step that yields its CSVs,
+and ``main`` writes each command's files as one set; diagnostics (parse
+errors, skipped threads) go to stderr, never into data files. The
+argument parser holds each flag's default and check, so every
+configuration error is its usage line plus ``error: argument --flag:
+<reason>``. ``main`` returns the exit code of every outcome, ``--help``
+included: 0 success, 1 input error, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -68,27 +69,34 @@ def _fmt(value) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write the CSV whole or not at all.
+def _write_csvs(out: Path, files: Iterable[tuple[str, Sequence[str], Iterable]]) -> None:
+    """Write a command's (file name, header, rows) CSVs into ``out`` as one set.
 
-    Rows go to a temporary file beside ``path`` that replaces it only once
-    every row is written, so a failed run leaves any earlier file in place.
+    Each file's rows go to a temporary file beside its path. Only once
+    ``files`` is exhausted, after the command's last row and last warning,
+    does every temporary file replace its path; on any failure every one is
+    unlinked, so a failed run leaves each earlier file of the set as it was.
     The first row is drawn before the directory is made, so rows that fail
-    at once, as a missing corpus does, leave nothing behind.
+    at once, as a missing input does, leave nothing behind.
     """
-    rows = iter(rows)
-    first = list(itertools.islice(rows, 1))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    written = []  # (temporary file, path) of every file begun
     try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(first)
-            writer.writerows(rows)
-        os.replace(tmp, path)
+        for name, header, rows in files:
+            rows = iter(rows)
+            first = list(itertools.islice(rows, 1))
+            out.mkdir(parents=True, exist_ok=True)
+            tmp = out / f".{name}.{os.getpid()}.tmp"
+            written.append((tmp, out / name))
+            with open(tmp, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(first)
+                writer.writerows(rows)
+        for tmp, path in written:
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp, _ in written:
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -220,7 +228,10 @@ def _ordered_map(fn: Callable, items: Iterator[tuple], jobs: int) -> Iterator:
     reads EOF there (a send to it fails quietly), and the run stops with
     its exit code. Workers are daemonic, or an exception that leaves the
     program holding this generator, as a failed stderr write can, would
-    leave the exit handler joining workers that wait forever.
+    leave the exit handler joining workers that wait forever. They start by
+    the start method the program has set, else by ``fork`` where the platform
+    has it: Python 3.14's Linux default, ``forkserver``, made ``--jobs 2``
+    slower than ``--jobs 1`` for census, degrees and timing.
     """
     head = list(itertools.islice(items, jobs))
     if len(head) < 2:
@@ -229,6 +240,10 @@ def _ordered_map(fn: Callable, items: Iterator[tuple], jobs: int) -> Iterator:
     import multiprocessing  # here, so serial runs never load multiprocessing
     from multiprocessing.connection import wait
 
+    method = multiprocessing.get_start_method(allow_none=True)
+    if method is None and "fork" in multiprocessing.get_all_start_methods():
+        method = "fork"
+    context = multiprocessing.get_context(method)  # None: the default context
     todo = enumerate(itertools.chain(head, items))
     workers = {}  # parent end -> its worker process
     held = {}  # parent end -> index of the item its worker holds
@@ -236,8 +251,8 @@ def _ordered_map(fn: Callable, items: Iterator[tuple], jobs: int) -> Iterator:
     yielded = 0
     try:
         for _ in head:
-            conn, child_end = multiprocessing.Pipe()
-            worker = multiprocessing.Process(
+            conn, child_end = context.Pipe()
+            worker = context.Process(
                 target=_serve, args=(fn, child_end, [*workers, conn])
             )
             worker.daemon = True
@@ -310,15 +325,11 @@ def _degree_rows(thread: ThreadRecord) -> list[tuple]:
     ]
 
 
-def cmd_macro(args: Namespace) -> None:
-    """Write macro_metrics.csv and one ECDF CSV per metric."""
+def cmd_macro(args: Namespace) -> Iterator[tuple]:
+    """Yield macro_metrics.csv and one ECDF CSV per metric."""
     row_fn = partial(_macro_rows, branching_mode=args.branching_mode)
     rows = list(itertools.chain.from_iterable(_thread_rows(args, row_fn)))
-    _write_csv(
-        args.out / "macro_metrics.csv",
-        MACRO_HEADER,
-        [(*r[:3], *map(_fmt, r[3:])) for r in rows],
-    )
+    yield "macro_metrics.csv", MACRO_HEADER, [(*r[:3], *map(_fmt, r[3:])) for r in rows]
     for column, metric in enumerate(ECDF_METRICS, start=3):
         samples = [r[column] for r in rows if r[column] is not None]
         points = []
@@ -327,20 +338,18 @@ def cmd_macro(args: Namespace) -> None:
             points = [(_fmt(v), _fmt(f)) for v, f in zip(curve.values, curve.fractions)]
         else:
             _diag(f"warning: no defined values for {metric}, ECDF is empty")
-        path = args.out / f"ecdf_{metric}.csv"
-        _write_csv(path, ("value", "cum_fraction"), points)
+        yield f"ecdf_{metric}.csv", ("value", "cum_fraction"), points
 
 
 def census_header(class_names: Sequence[str]) -> list[str]:
     return ["thread_id", "source", "n_users", "bin"] + list(class_names)
 
 
-def cmd_census(args: Namespace) -> None:
-    """Write census.csv: per-thread anchored class counts plus bin label."""
+def cmd_census(args: Namespace) -> Iterator[tuple]:
+    """Yield census.csv: per-thread anchored class counts plus bin label."""
     row_fn = partial(_census_rows, bins=args.bins, labels=args.bins.labels)
     rows = itertools.chain.from_iterable(_thread_rows(args, row_fn))
-    header = census_header(get_class_table().names)
-    _write_csv(args.out / "census.csv", header, rows)
+    yield "census.csv", census_header(get_class_table().names), rows
 
 
 def read_census_csv(path: Path, class_names: Sequence[str], source: str) -> list[MotifCensus]:
@@ -417,8 +426,8 @@ def _fit_census(path: Path, bins: BinSpec, side: str) -> tuple[NullModel, int]:
     return fit_null_model(binned), len(binned.unbinned)
 
 
-def cmd_compare(args: Namespace) -> None:
-    """Standardize a focus census file against a baseline one."""
+def cmd_compare(args: Namespace) -> Iterator[tuple]:
+    """Yield the Z-scores of a focus census file against a baseline one."""
     table = get_class_table()
     focus, focus_unbinned = _fit_census(args.focus, args.bins, "focus")
     null, baseline_unbinned = _fit_census(args.baseline, args.bins, "baseline")
@@ -440,16 +449,16 @@ def cmd_compare(args: Namespace) -> None:
         )
         for cell, label in zip(report.cells, expression.cell_labels)
     ]
-    _write_csv(args.out / "compare.csv", COMPARE_HEADER, rows)
+    yield "compare.csv", COMPARE_HEADER, rows
     summary_rows = [
         (name, "+".join(sorted(expression.class_labels[name])))
         for name in table.names
     ]
-    _write_csv(args.out / "expression_summary.csv", ("class", "labels"), summary_rows)
+    yield "expression_summary.csv", ("class", "labels"), summary_rows
 
 
-def cmd_timing(args: Namespace) -> None:
-    """Write timing.csv: per-instance completion fractions plus their median."""
+def cmd_timing(args: Namespace) -> Iterator[tuple]:
+    """Yield timing.csv: per-instance completion fractions plus their median."""
     fractions = []
 
     row_fn = partial(_timing_rows, class_name=args.class_name)
@@ -464,15 +473,11 @@ def cmd_timing(args: Namespace) -> None:
         else:
             _diag(f"warning: no instances of {args.class_name} found, median undefined")
 
-    _write_csv(
-        args.out / "timing.csv",
-        ("kind", "thread_id", "v_user", "w_user", "fraction"),
-        rows(),
-    )
+    yield "timing.csv", ("kind", "thread_id", "v_user", "w_user", "fraction"), rows()
 
 
-def cmd_degrees(args: Namespace) -> None:
-    """Write per-node degrees and corpus-wide degree histograms."""
+def cmd_degrees(args: Namespace) -> Iterator[tuple]:
+    """Yield per-node degrees, then corpus-wide degree histograms."""
     in_hist, out_hist = Counter(), Counter()  # (graph kind, degree) -> nodes
 
     def counted(rows: list[tuple]) -> list[tuple]:
@@ -480,18 +485,12 @@ def cmd_degrees(args: Namespace) -> None:
         out_hist.update(map(itemgetter(0, 3), rows))
         return rows
 
-    _write_csv(
-        args.out / "degrees.csv",
-        ("graph", "node", "in_degree", "out_degree"),
-        itertools.chain.from_iterable(map(counted, _thread_rows(args, _degree_rows))),
-    )
+    rows = itertools.chain.from_iterable(map(counted, _thread_rows(args, _degree_rows)))
+    yield "degrees.csv", ("graph", "node", "in_degree", "out_degree"), rows
+    # The writer has drawn every degrees.csv row, so the histograms are whole.
     hist_rows = [(g, "in", d, c) for (g, d), c in in_hist.items()]
     hist_rows += [(g, "out", d, c) for (g, d), c in out_hist.items()]
-    _write_csv(
-        args.out / "degree_hist.csv",
-        ("graph", "degree_kind", "degree", "count"),
-        sorted(hist_rows),
-    )
+    yield "degree_hist.csv", ("graph", "degree_kind", "degree", "count"), sorted(hist_rows)
 
 
 def cmd_classes(args: Namespace) -> None:
@@ -645,13 +644,15 @@ def _build_parser() -> ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one subcommand and return its exit code."""
+    """Run one subcommand, write the CSVs it yields, and return its exit code."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as stop:  # argparse: 0 after --help, 2 after a bad flag
         return stop.code
     try:
-        args.run(args)
+        files = args.run(args)
+        if files is not None:  # classes prints; every other command yields its CSVs
+            _write_csvs(args.out, files)
     except (OSError, ThreadMotifsError) as err:
         with contextlib.suppress(OSError):  # stderr may be what failed
             _diag(f"error: {err}")

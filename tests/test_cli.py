@@ -299,7 +299,7 @@ class TestCensusCommand:
     @needs_mkfifo
     def test_workers_capped_at_usable_processors(self, tmp_path, monkeypatch):
         class ThreadWorker:
-            """Stands in for multiprocessing.Process: serves batches on a thread."""
+            """Stands in for a start method's Process: serves batches on a thread."""
 
             started = []
             daemon = False
@@ -326,7 +326,9 @@ class TestCensusCommand:
                 self.thread.join(timeout=30)
                 assert not self.thread.is_alive()
 
-        monkeypatch.setattr(multiprocessing, "Process", ThreadWorker)
+        # _ordered_map starts its workers from the context of the method it picks.
+        for method in multiprocessing.get_all_start_methods():
+            monkeypatch.setattr(multiprocessing.get_context(method), "Process", ThreadWorker)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         corpus = write_corpus(
             tmp_path / "c.jsonl", [filler_thread(f"t{i}") for i in range(6)]
@@ -919,6 +921,42 @@ def test_start_methods_do_not_change_output(tmp_path, method):
 
 
 @pytest.mark.skipif(
+    not {"fork", "forkserver"} <= set(multiprocessing.get_all_start_methods()),
+    reason="no fork or no forkserver start method on this platform",
+)
+@pytest.mark.parametrize("chosen, process", [(None, "ForkProcess"), ("spawn", "SpawnProcess")])
+def test_workers_fork_unless_the_program_chose_a_method(tmp_path, chosen, process):
+    """Where forkserver is the default and no method is set, as on Python 3.14
+    on Linux, workers fork; a method the program set wins, and none is set."""
+    corpus = write_corpus(tmp_path / "c.jsonl", synth_corpus(24, "focus", 0.5, seed=7))
+    # A fresh interpreter, as the start method is process-wide. Making
+    # forkserver the default touches private names of multiprocessing.context:
+    # _default_context and that object's own _default_context.
+    script = (
+        "import multiprocessing, multiprocessing.context, os, sys\n"
+        "from multiprocessing.process import BaseProcess\n"
+        "from threadmotifs import cli\n"
+        "default = multiprocessing.context._default_context\n"
+        "default._default_context = multiprocessing.get_context('forkserver')\n"
+        "if sys.argv[1] != 'None':\n"
+        "    multiprocessing.set_start_method(sys.argv[1])\n"
+        "started, start = [], BaseProcess.start\n"
+        "def spy(self):\n"
+        "    started.append(type(self).__name__)\n"
+        "    start(self)\n"
+        "BaseProcess.start = spy\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "cli.BATCH_BYTES = 2000\n"
+        "code = cli.main(['census', '--input', sys.argv[2], '--out', sys.argv[3],"
+        " '--jobs', '2'])\n"
+        "print(code, started, multiprocessing.get_start_method(allow_none=True))\n"
+    )
+    proc = run_python(script, chosen, corpus, tmp_path / "out")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == [f"0 {[process] * 2} {chosen}", ""]
+
+
+@pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="/dev/fd/N names the file itself only on Linux"
 )
 def test_dev_fd_name_of_a_regular_file_gives_the_files_bytes(tmp_path):
@@ -1234,21 +1272,85 @@ def test_cli_import_leaves_numpy_out(tmp_path):
     ).read_bytes()
 
 
+def dir_files(out):
+    """The bytes of every file in ``out``, temporary ones included, by name."""
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
 def test_failed_csv_write_keeps_previous_file(tmp_path):
-    path = tmp_path / "out.csv"
-    path.write_text("old\n")
+    """A set whose second file fails midway replaces neither file."""
+    (tmp_path / "a.csv").write_text("old a\n")
+    (tmp_path / "b.csv").write_text("old b\n")
 
     def rows():
-        yield ("a", 1)
+        yield ("b", 1)
         raise RuntimeError("midway")
 
+    files = [("a.csv", ("name", "n"), [("a", 1)]), ("b.csv", ("name", "n"), rows())]
     with pytest.raises(RuntimeError, match="midway"):
-        cli._write_csv(path, ("name", "n"), rows())
-    assert path.read_text() == "old\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
-    cli._write_csv(path, ("name", "n"), [("a", 1)])
-    assert path.read_text() == "name,n\na,1\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        cli._write_csvs(tmp_path, iter(files))
+    assert dir_files(tmp_path) == {"a.csv": b"old a\n", "b.csv": b"old b\n"}
+    files = [("a.csv", ("name", "n"), [("a", 1)]), ("b.csv", ("name", "n"), [("b", 2)])]
+    cli._write_csvs(tmp_path, iter(files))
+    assert dir_files(tmp_path) == {"a.csv": b"name,n\na,1\n", "b.csv": b"name,n\nb,2\n"}
+
+
+class TestWholeOutputSet:
+    """A failed run leaves every file of its command's earlier run as it was.
+
+    Each second run fails after its first file is written in full, so a
+    writer that renamed each file as soon as it was written would mix the
+    two runs' files.
+    """
+
+    @staticmethod
+    def fail_temporary_open(monkeypatch, name):
+        """Make the write of ``name``'s temporary file fail with ENOSPC at its open."""
+
+        def fake_open(file, *args, **kwargs):
+            if os.path.basename(file).startswith(f".{name}."):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", fake_open, raising=False)
+
+    def test_macro_failed_warning(self, tmp_path, monkeypatch):
+        chain = [("p0", None, "a", 0), ("p1", "p0", "b", 10), ("p2", "p1", "a", 30)]
+        three = [make_thread(f"u{i}", "focus", chain) for i in range(3)]
+        root_only = [make_thread(f"t{i}", "focus", chain[:1]) for i in range(3)]
+        out = tmp_path / "out"
+        argv = ["macro", "--out", str(out), "--min-extra-posts", "0"]
+        corpus = write_corpus(tmp_path / "three.jsonl", three)
+        assert main([*argv, "--input", str(corpus)]) == 0
+        before = dir_files(out)
+        assert len(before) == 5 and b"u0" in before["macro_metrics.csv"]
+        # The second run's first warning, for its empty ECDFs, cannot be written.
+        monkeypatch.setattr(sys, "stderr", FullStderr())
+        corpus = write_corpus(tmp_path / "root_only.jsonl", root_only)
+        assert main([*argv, "--input", str(corpus)]) == 1
+        assert dir_files(out) == before
+
+    def test_degrees_failed_second_file(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        corpus = write_corpus(tmp_path / "fig2.jsonl", [fig2_thread()])
+        assert main(["degrees", "--input", str(corpus), "--out", str(out)]) == 0
+        before = dir_files(out)
+        self.fail_temporary_open(monkeypatch, "degree_hist.csv")
+        corpus = write_corpus(tmp_path / "filler.jsonl", [filler_thread("t1")])
+        assert main(["degrees", "--input", str(corpus), "--out", str(out)]) == 1
+        assert "error: [Errno 28]" in capsys.readouterr().err
+        assert dir_files(out) == before
+
+    def test_compare_failed_second_file(self, tmp_path, monkeypatch, capsys):
+        a = run_census(tmp_path, "a", synth_corpus(40, "focus", 0.5, seed=1))
+        b = run_census(tmp_path, "b", synth_corpus(40, "focus", 0.2, seed=2))
+        out = tmp_path / "out"
+        assert main(["compare", "--focus", str(a), "--baseline", str(b), "--out", str(out)]) == 0
+        before = dir_files(out)
+        self.fail_temporary_open(monkeypatch, "expression_summary.csv")
+        assert main(["compare", "--focus", str(b), "--baseline", str(a), "--out", str(out)]) == 1
+        assert "error: [Errno 28]" in capsys.readouterr().err
+        assert dir_files(out) == before
 
 
 class TestConfigErrors:
