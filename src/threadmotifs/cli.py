@@ -37,7 +37,9 @@ from .expression_stats import (
 )
 from .graphs import build_user_graph, degree_sequences
 from .macro_metrics import BRANCHING_MODES, MacroRecord, ecdf, lower_median, macro_record
-from .motif_census import MotifCensus, census_fast, completion_fractions, get_class_table
+from .motif_census import (
+    AnchoredTriadClass, MotifCensus, census_fast, completion_fractions, get_class_table
+)
 from .thread_model import (
     DELETED_SENTINEL,
     FilterPolicy,
@@ -110,24 +112,14 @@ def _line_batches(path: Path) -> Iterator[tuple[int, bytes]]:
     Yields (first line number, bytes) per batch. The batches follow each
     other with no gap, join back to the whole input, and each ends where a
     line ends (at \n, \r\n or a lone \r, as in text mode), except that the
-    last one may end without a line end.
+    last one may end without a line end. Text mode with newline="" does the
+    cutting, and latin-1 maps each byte to one character and back.
     """
-    first_line, held = 1, []  # held: blocks of lines not yet ended
-    with open(path, "rb") as fh:
-        while block := fh.read(BATCH_BYTES):
-            # Cut after the last \n or a lone \r after it, but not after a \r
-            # that ends the block: the next block may begin with its \n.
-            nl = block.rfind(b"\n")
-            cut = max(nl, block.rfind(b"\r", nl + 1, len(block) - 1)) + 1
-            if cut:  # else a line longer than the block: join its blocks once
-                data = b"".join([*held, block[:cut]])
-                yield first_line, data
-                first_line += len(data.splitlines())
-                held = []
-            held.append(block[cut:])
-    data = b"".join(held)
-    if data:
-        yield first_line, data
+    first_line = 1
+    with open(path, encoding="latin-1", newline="") as fh:
+        while lines := fh.readlines(BATCH_BYTES):
+            yield first_line, "".join(lines).encode("latin-1")
+            first_line += len(lines)
 
 
 def _batch_rows(
@@ -307,8 +299,7 @@ def _census_rows(thread: ThreadRecord, bins: BinSpec, labels: Sequence[str]) -> 
     return [[thread.thread_id, thread.source, census.n_users, label, *census.counts]]
 
 
-def _timing_rows(thread: ThreadRecord, class_name: str) -> list[tuple]:
-    cls = get_class_table().named(class_name)
+def _timing_rows(thread: ThreadRecord, cls: AnchoredTriadClass) -> list[tuple]:
     graph = build_user_graph(thread)
     t0, t1 = thread_lifetime(thread)
     return [
@@ -364,6 +355,7 @@ def read_census_csv(path: Path, class_names: Sequence[str], source: str) -> list
     One warning on stderr counts the rows whose source column differs from
     ``source``; those rows are still loaded.
     """
+    csv.field_size_limit(2**31 - 1)  # census writes ids of any length; process-wide
     expected = census_header(class_names)
     censuses = []
     strays = 0
@@ -460,8 +452,8 @@ def cmd_compare(args: Namespace) -> Iterator[tuple]:
 def cmd_timing(args: Namespace) -> Iterator[tuple]:
     """Yield timing.csv: per-instance completion fractions plus their median."""
     fractions = []
-
-    row_fn = partial(_timing_rows, class_name=args.class_name)
+    cls = args.class_name  # the flag type resolved the name to its class
+    row_fn = partial(_timing_rows, cls=cls)
 
     def rows():
         for thread_rows in _thread_rows(args, row_fn):
@@ -471,7 +463,7 @@ def cmd_timing(args: Namespace) -> Iterator[tuple]:
         if fractions:
             yield ("median", "", "", "", _fmt(lower_median(fractions)))
         else:
-            _diag(f"warning: no instances of {args.class_name} found, median undefined")
+            _diag(f"warning: no instances of {cls.name} found, median undefined")
 
     yield "timing.csv", ("kind", "thread_id", "v_user", "w_user", "fraction"), rows()
 
@@ -542,15 +534,15 @@ def _rarity_threshold(text: str) -> float:
     return value
 
 
-def _timing_class(name: str) -> str:
-    """The name of a known class with edges: an edge-free class never completes."""
+def _timing_class(name: str) -> AnchoredTriadClass:
+    """A known class with edges: an edge-free class never completes."""
     try:
         cls = get_class_table().named(name)
     except KeyError as err:
         raise ArgumentTypeError(err.args[0]) from None
     if not cls.has_edges:
         raise ArgumentTypeError(f"{name} is an edge-free class, timing is undefined")
-    return name
+    return cls
 
 
 def _add_corpus_args(parser: ArgumentParser) -> None:

@@ -183,6 +183,17 @@ class TestMacroCommand:
         for name in ("macro_metrics.csv", "ecdf_reciprocity.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_branching_mode_reaches_the_rows(self, tmp_path):
+        corpus = write_corpus(tmp_path / "fig2.jsonl", [fig2_thread()])
+        factors = {}
+        for mode in ("internal", "all"):
+            out = tmp_path / mode
+            argv = ["macro", "--input", str(corpus), "--out", str(out)]
+            assert main([*argv, "--branching-mode", mode]) == 0
+            factors[mode] = read_rows(out / "macro_metrics.csv")[1][-1]  # branching_factor
+        # fig2 has 8 posts, 4 of which have replies.
+        assert factors == {"internal": f"{7 / 4:.6f}", "all": f"{7 / 8:.6f}"}
+
 
 class TestCensusCommand:
     def test_fig2_row(self, tmp_path, fixture_corpus):
@@ -250,6 +261,24 @@ class TestCensusCommand:
         rows = read_rows(out / "census.csv")
         row = next(r for r in rows if r[0] == "fig2")
         assert row[3] == "5-8"
+
+    @pytest.mark.parametrize(
+        "flags, kept",
+        [
+            ([], ["plain", "gone"]),
+            (["--keep-deleted-root"], ["plain", "deleted", "gone"]),
+            (["--deleted-sentinel", "gone"], ["plain", "deleted"]),
+        ],
+        ids=["default", "keep-deleted-root", "deleted-sentinel"],
+    )
+    def test_deleted_root_flags_reach_the_filter(self, tmp_path, flags, kept):
+        threads = [
+            filler_thread("plain"),
+            filler_thread("deleted", author="[deleted]"),
+            filler_thread("gone", author="gone"),
+        ]
+        census = run_census(tmp_path, "c", threads, *flags)
+        assert [row[0] for row in read_rows(census)[1:]] == kept
 
     def test_bad_bins_is_config_error(self, tmp_path, fixture_corpus, capsys):
         for bins in ("oops", ""):
@@ -636,6 +665,17 @@ class TestCompareCommand:
         get_class_table()  # built once per process, outside the measured runs
         assert peak(big) < 1.25 * peak(small)
 
+    def test_thread_id_longer_than_a_csv_field_round_trips(self, tmp_path):
+        # 200,000 characters is over the csv module's default field limit.
+        compared = []
+        for name, thread_id in (("long", "t" * 200_000), ("short", "t")):
+            census = run_census(tmp_path, name, [filler_thread(thread_id, n_replies=6)])
+            out = tmp_path / name / "cmp"
+            argv = ["compare", "--focus", str(census), "--baseline", str(census)]
+            assert main([*argv, "--out", str(out)]) == 0
+            compared.append((out / "compare.csv").read_bytes())
+        assert compared[0] == compared[1]
+
     def test_missing_file_is_input_error(self, tmp_path):
         census = run_census(tmp_path, "c", [fig2_thread()], "--min-extra-posts", "0")
         code = main(
@@ -841,8 +881,11 @@ class TestBatchPath:
         data=st.lists(st.sampled_from([b"a", b"b", b"\r", b"\n"]), max_size=200).map(b"".join),
         batch_bytes=st.integers(1, 64),
     )
-    @example(data=b"a" * 200 + b"\nb\n", batch_bytes=64)  # a line over three blocks
-    @example(data=b"ab\r\ncd\n", batch_bytes=3)  # a \r\n split across two blocks
+    @example(data=b"a" * 200 + b"\nb\n", batch_bytes=64)  # a line over three times the batch size
+    @example(data=b"ab\r\ncd\n", batch_bytes=3)  # a \r\n straddling the batch size
+    # A \r\n, then a lone \r, across the text reader's 8,192-character decode chunk.
+    @example(data=b"a" * 8191 + b"\r\nb\n", batch_bytes=64)
+    @example(data=b"a" * 8191 + b"\rb\n", batch_bytes=64)
     def test_batches_are_whole_lines_of_the_file(self, tmp_path, monkeypatch, data, batch_bytes):
         corpus = tmp_path / "c.jsonl"
         corpus.write_bytes(data)
@@ -1552,7 +1595,7 @@ class TestHostileCensusFile:
 
     def test_oversized_field_is_input_error(self, tmp_path, capsys):
         bad, error = self.compare(tmp_path, capsys, b"t2,focus,3," + b"9" * 200_000 + b"\n")
-        assert error == f"error: line 3: {bad}: bad CSV (field larger than field limit (131072))"
+        assert error == f"error: line 3: {bad}: bad census row width"
 
 
 class TestCensusFileLineNumbers:
@@ -1705,7 +1748,7 @@ class TestSpecialText:
             thread = parse_thread_line(line.encode())
         except ThreadValidationError:
             return
-        timed = cli._timing_rows(thread, "201-b")
+        timed = cli._timing_rows(thread, get_class_table().named("201-b"))
         timing = [[*r[:4], cli._fmt(r[4])] for r in timed]
         if timed:
             timing.append(["median", "", "", "", cli._fmt(lower_median([r[4] for r in timed]))])
