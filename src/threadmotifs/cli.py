@@ -332,18 +332,18 @@ def cmd_macro(args: Namespace) -> Iterator[tuple]:
         yield f"ecdf_{metric}.csv", ("value", "cum_fraction"), points
 
 
-def census_header(class_names: Sequence[str]) -> list[str]:
-    return ["thread_id", "source", "n_users", "bin"] + list(class_names)
+def census_header() -> list[str]:
+    return ["thread_id", "source", "n_users", "bin", *get_class_table().names]
 
 
 def cmd_census(args: Namespace) -> Iterator[tuple]:
     """Yield census.csv: per-thread anchored class counts plus bin label."""
     row_fn = partial(_census_rows, bins=args.bins, labels=args.bins.labels)
     rows = itertools.chain.from_iterable(_thread_rows(args, row_fn))
-    yield "census.csv", census_header(get_class_table().names), rows
+    yield "census.csv", census_header(), rows
 
 
-def read_census_csv(path: Path, class_names: Sequence[str], source: str) -> list[MotifCensus]:
+def read_census_csv(path: Path, source: str) -> list[MotifCensus]:
     """Load censuses back from a census.csv, enforcing the exact schema.
 
     Every row must have the header's width, and its counts must be
@@ -356,7 +356,7 @@ def read_census_csv(path: Path, class_names: Sequence[str], source: str) -> list
     ``source``; those rows are still loaded.
     """
     csv.field_size_limit(2**31 - 1)  # census writes ids of any length; process-wide
-    expected = census_header(class_names)
+    expected = census_header()
     censuses = []
     strays = 0
     line_no = 1  # the line the next row starts on
@@ -414,19 +414,18 @@ def read_census_csv(path: Path, class_names: Sequence[str], source: str) -> list
 
 def _fit_census(path: Path, bins: BinSpec, side: str) -> tuple[NullModel, int]:
     """Fit one census file and count its unbinned rows; the rows are freed on return."""
-    binned = assign_bins(read_census_csv(path, get_class_table().names, side), bins)
+    binned = assign_bins(read_census_csv(path, side), bins)
     return fit_null_model(binned), len(binned.unbinned)
 
 
 def cmd_compare(args: Namespace) -> Iterator[tuple]:
     """Yield the Z-scores of a focus census file against a baseline one."""
-    table = get_class_table()
     focus, focus_unbinned = _fit_census(args.focus, args.bins, "focus")
     null, baseline_unbinned = _fit_census(args.baseline, args.bins, "baseline")
     for side, unbinned in (("focus", focus_unbinned), ("baseline", baseline_unbinned)):
         if unbinned:
             _diag(f"warning: {unbinned} {side} graph(s) outside every bin left unbinned")
-    report = z_scores(focus, null, table.names)
+    report = z_scores(focus, null)
     expression = classify_expression(report, args.rarity_threshold)
     rows = [
         (
@@ -444,7 +443,7 @@ def cmd_compare(args: Namespace) -> Iterator[tuple]:
     yield "compare.csv", COMPARE_HEADER, rows
     summary_rows = [
         (name, "+".join(sorted(expression.class_labels[name])))
-        for name in table.names
+        for name in report.class_names
     ]
     yield "expression_summary.csv", ("class", "labels"), summary_rows
 

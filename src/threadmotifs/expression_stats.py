@@ -18,9 +18,9 @@ variance, carry an explicit reason instead of a Z.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
-from .motif_census import MotifCensus
+from .motif_census import MotifCensus, get_class_table
 
 DEFAULT_BIN_RANGES = (
     (1, 5), (6, 10), (11, 15), (16, 20), (21, 25), (26, 30), (31, 35), (36, 40),
@@ -160,13 +160,14 @@ class ZReport(NamedTuple):
     cells: tuple[ZCell, ...]
 
 
-def z_scores(focus: NullModel, null: NullModel, class_names: Sequence[str]) -> ZReport:
-    """Standardize the focus corpus's fit against the baseline's, the null model."""
+def z_scores(focus: NullModel, null: NullModel) -> ZReport:
+    """Standardize the focus corpus's fit against the baseline's, the null model;
+    count column i is the class table's class i, whose name labels its cells."""
     if focus.spec != null.spec:
         raise ValueError("focus binning and null model use different bin specs")
-    spec = focus.spec
+    class_names = get_class_table().names
     cells = []
-    for b, label in enumerate(spec.labels):
+    for b, label in enumerate(focus.spec.labels):
         n = focus.sizes[b]
         m = null.sizes[b]
         if n == 0 and m == 0:
@@ -203,7 +204,7 @@ def z_scores(focus: NullModel, null: NullModel, class_names: Sequence[str]) -> Z
                     reason=reason,
                 )
             )
-    return ZReport(tuple(class_names), tuple(cells))
+    return ZReport(class_names, tuple(cells))
 
 
 LABEL_RARE = "rare"

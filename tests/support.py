@@ -15,7 +15,9 @@ from pathlib import Path
 import threadmotifs
 from threadmotifs.errors import CorpusParseError, ThreadValidationError
 from threadmotifs.graphs import UserGraph
-from threadmotifs.motif_census import DYAD_CODES, AnchoredTriadClass, ClassTable, TriadConfig
+from threadmotifs.motif_census import (
+    DYAD_CODES, AnchoredTriadClass, ClassTable, TriadConfig, census_naive
+)
 from threadmotifs.thread_model import SOURCES, PostRecord, ThreadRecord
 
 
@@ -313,6 +315,90 @@ def _index_oracle(thread_id, source, posts, line_no) -> ThreadRecord:
     return ThreadRecord(
         thread_id, source, ids, tuple(parent_of), author_of, timestamps, users, roots[0]
     )
+
+
+def user_graph_oracle(thread: ThreadRecord) -> UserGraph:
+    """The user graph straight from the posts, by author name: an edge from
+    each reply's author to its parent's, when they differ, at the earliest
+    such reply; users are numbered in order of first post."""
+    author = [thread.users[a] for a in thread.author_of]
+    edges: dict[tuple[str, str], int] = {}
+    for i, parent in enumerate(thread.parent_of):
+        if parent is not None and author[i] != author[parent]:
+            t = thread.timestamps[i]
+            pair = (author[i], author[parent])
+            edges[pair] = min(edges.get(pair, t), t)
+    return graph_from_names(tuple(dict.fromkeys(author)), author[thread.root], edges)
+
+
+def csv_row(fields) -> str:
+    """One CSV row as the README writes it: a field that holds a comma, a
+    quote or a newline is quoted, its quotes doubled; a row ends in a newline."""
+    quoted = (
+        '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\n') else text
+        for text in map(str, fields)
+    )
+    return ",".join(quoted) + "\n"
+
+
+# The README's default `--bins`: 1-5, 6-10, ..., 36-40.
+README_BINS = tuple((lo, lo + 4) for lo in range(1, 40, 5))
+
+
+def census_reference(
+    data: bytes, min_extra_posts: int = 5, drop_deleted_root: bool = True,
+    sentinel: str = "[deleted]",
+) -> tuple[bytes, str]:
+    r"""The census.csv bytes and the stderr text of ``census`` on corpus
+    ``data``, from the oracles and the README's rules alone.
+
+    Lines end at \n, \r\n or a lone \r and are numbered from 1. A line of
+    spaces and tabs is skipped quietly, and one parse_oracle rejects is
+    skipped with a warning. Among valid threads the first with an id wins; a
+    later one is skipped and counted with the malformed lines. The filter
+    keeps a thread with at least ``min_extra_posts`` replies whose root
+    author, when ``drop_deleted_root``, is not ``sentinel``. Each kept
+    thread's row holds census_naive's counts on user_graph_oracle, under the
+    class table that the naming rules derive.
+    """
+    table = class_table_oracle()
+    rows = [csv_row(["thread_id", "source", "n_users", "bin", *table.names])]
+    warnings = []
+    first_line_of: dict[str, int] = {}
+    parsed = 0
+    for line_no, line in enumerate(data.splitlines(), start=1):
+        if not line.strip(b" \t"):
+            continue
+        try:
+            thread = parse_oracle(line, line_no)
+        except (CorpusParseError, ThreadValidationError) as err:
+            warnings.append(f"warning: skipped {err}")
+            continue
+        first = first_line_of.setdefault(thread.thread_id, line_no)
+        if first != line_no:
+            warnings.append(
+                f"warning: skipped line {line_no}: duplicate thread_id "
+                f"{thread.thread_id!r} (first on line {first})"
+            )
+            continue
+        parsed += 1
+        root_author = thread.users[thread.author_of[thread.root]]
+        if thread.n_posts - 1 < min_extra_posts or (
+            drop_deleted_root and root_author == sentinel
+        ):
+            continue
+        census = census_naive(user_graph_oracle(thread), table)
+        n = census.n_users
+        label = next((f"{lo}-{hi}" for lo, hi in README_BINS if lo <= n <= hi), "")
+        rows.append(csv_row([thread.thread_id, thread.source, n, label, *census.counts]))
+    skipped, kept = len(warnings), len(rows) - 1
+    if skipped:
+        warnings.append(f"warning: {skipped} malformed line(s)/thread(s) skipped")
+    if parsed > kept:
+        warnings.append(f"info: filter dropped {parsed - kept} of {parsed} threads")
+    if not kept:
+        warnings.append("warning: no threads remain after filtering")
+    return "".join(rows).encode(), "".join(w + "\n" for w in warnings)
 
 
 def completion_oracle(g: UserGraph, cls: AnchoredTriadClass, t0: int, t1: int) -> list:

@@ -31,7 +31,9 @@ from threadmotifs.macro_metrics import lower_median
 from threadmotifs.motif_census import census_naive, get_class_table
 from threadmotifs.thread_model import parse_thread_line
 
-from support import fig2_thread, make_thread, run_python, synth_corpus, to_json_line
+from support import (
+    census_reference, fig2_thread, make_thread, run_python, synth_corpus, to_json_line
+)
 
 
 def write_corpus(path, threads):
@@ -80,7 +82,7 @@ def fifo_of(source, fifo):
 
 def write_census(path, n_users, source="focus"):
     """A census file with one valid row per user count, its triads in one class."""
-    header = ",".join(census_header(get_class_table().names)).encode()
+    header = ",".join(census_header()).encode()
     lines = [_census_line(n, i % 36, source) for i, n in enumerate(n_users)]
     path.write_bytes(b"\n".join([header, *lines]) + b"\n")
     return path
@@ -233,7 +235,7 @@ class TestCensusCommand:
         out = tmp_path / "census"
         assert main(["census", "--input", str(corpus), "--out", str(out)]) == 0
         table, bins = get_class_table(), BinSpec()
-        expected = [census_header(table.names)]
+        expected = [census_header()]
         for thread in threads:
             census = census_naive(build_user_graph(thread), table)
             b = bins.bin_of(census.n_users)
@@ -510,7 +512,7 @@ class TestCompareCommand:
             assert "line 2" in err and str(bad) in err
 
     def test_n_users_must_fit_signed_64_bits(self, tmp_path, capsys):
-        header = ",".join(census_header(get_class_table().names)).encode()
+        header = ",".join(census_header()).encode()
 
         def census(name, *n_users):
             path = tmp_path / f"{name}.csv"
@@ -798,6 +800,23 @@ class TestClassesCommand:
         )
 
 
+def hostile_corpus_bytes() -> bytes:
+    """Twelve valid threads mixed with a broken line, a blank line, a thread
+    with no root, invalid UTF-8, a thread the filter drops and a repeated
+    thread id, with all three line ends."""
+    threads = synth_corpus(12, "focus", 0.5, seed=41)
+    lines = [to_json_line(t).encode() for t in threads]
+    no_root = to_json_line(filler_thread("no-root")).replace("null", '"p9"')
+    bad_utf8 = to_json_line(filler_thread("b", author="X")).replace('"X"', '"\xff"')
+    lines[1:1] = [b"{broken"]  # line 2
+    lines[4:4] = [b"", no_root.encode()]  # blank line 5, invalid thread on line 6
+    lines[8:8] = [bad_utf8.encode("latin-1")]  # line 9
+    lines[10:10] = [to_json_line(filler_thread("tiny", n_replies=1)).encode()]
+    lines.append(lines[0])  # line 18 repeats line 1's thread id
+    endings = [b"\r\n", b"\n", b"\r", b"\n"] * len(lines)
+    return b"".join(line + end for line, end in zip(lines, endings))
+
+
 class TestBatchPath:
     """Corpora cut into many line batches give the bytes of a single batch."""
 
@@ -810,18 +829,8 @@ class TestBatchPath:
 
     @pytest.fixture
     def hostile_corpus(self, tmp_path):
-        threads = synth_corpus(12, "focus", 0.5, seed=41)
-        lines = [to_json_line(t).encode() for t in threads]
-        no_root = to_json_line(filler_thread("no-root")).replace("null", '"p9"')
-        bad_utf8 = to_json_line(filler_thread("b", author="X")).replace('"X"', '"\xff"')
-        lines[1:1] = [b"{broken"]  # line 2
-        lines[4:4] = [b"", no_root.encode()]  # blank line 5, invalid thread on line 6
-        lines[8:8] = [bad_utf8.encode("latin-1")]  # line 9
-        lines[10:10] = [to_json_line(filler_thread("tiny", n_replies=1)).encode()]
-        lines.append(lines[0])  # line 18 repeats line 1's thread id
         corpus = tmp_path / "hostile.jsonl"
-        endings = [b"\r\n", b"\n", b"\r", b"\n"] * len(lines)  # all three line ends
-        corpus.write_bytes(b"".join(line + end for line, end in zip(lines, endings)))
+        corpus.write_bytes(hostile_corpus_bytes())
         return corpus
 
     def run_all(self, tmp_path, corpus, name, jobs, capsys):
@@ -1537,16 +1546,21 @@ def test_hostile_corpus_line_is_skipped(tmp_path, capsys, command, hostile):
     assert "warning: 1 malformed line(s)/thread(s) skipped" in err
 
 
-def test_reply_listed_before_its_parent_is_kept(tmp_path, capsys):
-    # The reply comes first on its line; the thread after it has a post that
-    # is its own parent. Each command keeps one thread and warns once.
+def reply_first_corpus_bytes() -> bytes:
+    """A thread whose reply comes before its root on the line, then a thread
+    with a post that is its own parent."""
     posts = [
         {"id": "p1", "parent": "p0", "author": "b", "t": 1},
         {"id": "p0", "parent": None, "author": "a", "t": 0},
     ]
     forward = json.dumps({"thread_id": "fwd", "source": "focus", "posts": posts}).encode()
+    return forward + b"\n" + HOSTILE_LINES["own-parent"][0] + b"\n"
+
+
+def test_reply_listed_before_its_parent_is_kept(tmp_path, capsys):
+    # Each command keeps the first thread and warns once about the second.
     corpus = tmp_path / "fwd.jsonl"
-    corpus.write_bytes(forward + b"\n" + HOSTILE_LINES["own-parent"][0] + b"\n")
+    corpus.write_bytes(reply_first_corpus_bytes())
     # Each command's main CSV and its line count: the header, then the rows
     # of fwd (its four degree rows; no 201-b instance, so no timing row).
     lines = {
@@ -1680,6 +1694,15 @@ def special_line(thread_id: str, text: str) -> str:
     return json.dumps({"thread_id": thread_id, "source": "focus", "posts": posts})
 
 
+def special_corpus_bytes() -> bytes:
+    """Per special text, a thread whose id holds it, then one whose post ids
+    and authors do."""
+    lines = []
+    for i, text in enumerate(SPECIAL_TEXTS):
+        lines += [special_line(text, "p"), special_line(f"t{i}", text)]
+    return "".join(line + "\n" for line in lines).encode()
+
+
 _special_texts = st.text(st.sampled_from('ab,"\n\r\u00e9'), min_size=1, max_size=3)
 
 
@@ -1706,11 +1729,8 @@ class TestSpecialText:
     """Corpus text reaches the CSV files whole, or its thread is skipped."""
 
     def test_census_compare_round_trip(self, tmp_path, monkeypatch, capsys):
-        lines = []
-        for i, text in enumerate(SPECIAL_TEXTS):
-            lines += [special_line(text, "p"), special_line(f"t{i}", text)]
         corpus = tmp_path / "special.jsonl"
-        corpus.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        corpus.write_bytes(special_corpus_bytes())
         monkeypatch.setattr(cli, "BATCH_BYTES", 1)  # one line per batch
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         runs = []
@@ -1815,7 +1835,7 @@ _census_lines = st.one_of(
 )
 _census_files = st.builds(
     lambda header, lines: b"\n".join([header, *lines]),
-    st.sampled_from([",".join(census_header(get_class_table().names)).encode(), b""]),
+    st.sampled_from([",".join(census_header()).encode(), b""]),
     st.lists(_census_lines, max_size=6),
 )
 _FUZZ = settings(
@@ -1846,6 +1866,65 @@ def test_any_corpus_bytes_exit_cleanly(tmp_path, monkeypatch, capsys, data, comm
     with monkeypatch.context() as patch:
         patch.setattr(cli, "BATCH_BYTES", 1)
         assert run("2") == serial
+
+
+def _synth_line(seed: int, source: str) -> bytes:
+    """One synth_corpus thread of 3 to 34 users, its id named by its seed."""
+    thread = synth_corpus(1, source, 0.5, seed=seed)[0]._replace(thread_id=f"s{seed}")
+    return to_json_line(thread).encode()
+
+
+# _corpus_lines, with valid threads of up to 34 users and special text added.
+# Nesting near the JSON decoder's recursion limit is left out: there the
+# verdict depends on the caller's stack depth, which differs between the
+# reference, the main process and a worker (a known fault: ROADMAP item 14).
+_reference_corpora = st.builds(
+    lambda lines, end: end.join(lines),
+    st.lists(
+        st.one_of(
+            st.builds(_synth_line, st.integers(0, 5), st.sampled_from(["focus", "baseline"])),
+            special_threads().map(str.encode),
+            st.binary(max_size=80),
+            _threads.map(lambda t: json.dumps(t).encode()),
+            st.one_of(st.integers(1, 300), st.just(200_000)).map(lambda n: b"[" * n),
+            st.integers(1, 6000).map(lambda n: b'{"t": ' + b"9" * n + b"}"),
+        ),
+        max_size=8,
+    ),
+    st.sampled_from([b"\n", b"\r\n", b"\r"]),
+)
+
+
+@_FUZZ
+@given(data=_reference_corpora, min_extra_posts=st.integers(0, 6), keep_deleted=st.booleans())
+@example(data=hostile_corpus_bytes(), min_extra_posts=5, keep_deleted=False)
+@example(data=reply_first_corpus_bytes(), min_extra_posts=1, keep_deleted=False)
+@example(data=special_corpus_bytes(), min_extra_posts=5, keep_deleted=False)
+@example(
+    data=b"\n".join([to_json_line(fig2_thread()).encode(), *(v[0] for v in HOSTILE_LINES.values())]),
+    min_extra_posts=0, keep_deleted=True,
+)
+def test_census_matches_the_reference(
+    tmp_path, monkeypatch, capsys, data, min_extra_posts, keep_deleted
+):
+    """census.csv and stderr equal support.census_reference's byte for byte,
+    at --jobs 1 and at --jobs 2 with one line per batch."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(data)
+    expected = census_reference(data, min_extra_posts, drop_deleted_root=not keep_deleted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    flags = ["--min-extra-posts", str(min_extra_posts)] + ["--keep-deleted-root"] * keep_deleted
+
+    def run(jobs):
+        out = tmp_path / f"j{jobs}"
+        argv = ["census", "--input", str(corpus), "--out", str(out), "--jobs", jobs, *flags]
+        assert main(argv) == 0
+        return (out / "census.csv").read_bytes(), capsys.readouterr().err
+
+    assert run("1") == expected
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "BATCH_BYTES", 1)
+        assert run("2") == expected
 
 
 @_FUZZ

@@ -18,7 +18,7 @@ from threadmotifs.expression_stats import (
     fit_null_model,
     z_scores,
 )
-from threadmotifs.motif_census import MotifCensus
+from threadmotifs.motif_census import MotifCensus, get_class_table
 
 N_CLASSES = 36
 
@@ -31,7 +31,7 @@ def census_of(n_users, **named_counts):
     return MotifCensus(tuple(counts), n_users)
 
 
-CLASS_NAMES = tuple(f"k{i}" for i in range(N_CLASSES))
+CLASS_NAMES = get_class_table().names
 
 
 class TestBinSpec:
@@ -107,8 +107,8 @@ class TestZScores:
     def test_direct_formula(self):
         baseline = assign_bins([census_of(3, c0=0), census_of(3, c0=4)], BinSpec())
         focus = assign_bins([census_of(3, c0=4), census_of(3, c0=8)], BinSpec())
-        report = z_scores(fit_null_model(focus), fit_null_model(baseline), CLASS_NAMES)
-        cell = next(c for c in report.cells if c.class_name == "k0")
+        report = z_scores(fit_null_model(focus), fit_null_model(baseline))
+        cell = next(c for c in report.cells if c.class_name == CLASS_NAMES[0])
         assert cell.z == pytest.approx((6 - 2) / 2, abs=1e-12)
         assert cell.mean_focus == 6.0
         assert cell.m_baseline == 2
@@ -117,6 +117,14 @@ class TestZScores:
         assert cell.se_null == pytest.approx(2 / 2**0.5, abs=1e-12)
         assert cell.se_focus == pytest.approx(2 / 2**0.5, abs=1e-12)
 
+    def test_cells_name_the_table_classes_in_column_order(self):
+        binned = assign_bins([census_of(3, c0=1), census_of(7, c5=2)], BinSpec())
+        report = z_scores(fit_null_model(binned), fit_null_model(binned))
+        assert report.class_names == CLASS_NAMES
+        assert [c.class_name for c in report.cells] == [*CLASS_NAMES, *CLASS_NAMES]
+        planted = [(c.bin_label, c.class_name) for c in report.cells if c.mean_focus]
+        assert planted == [("1-5", CLASS_NAMES[0]), ("6-10", CLASS_NAMES[5])]
+
     def test_self_comparison_is_zero(self):
         rng = random.Random(83)
         censuses = [
@@ -124,7 +132,7 @@ class TestZScores:
             for _ in range(120)
         ]
         binned = assign_bins(censuses, BinSpec())
-        report = z_scores(fit_null_model(binned), fit_null_model(binned), CLASS_NAMES)
+        report = z_scores(fit_null_model(binned), fit_null_model(binned))
         for cell in report.cells:
             if cell.reason == REASON_ZERO_VARIANCE:
                 assert cell.z is None
@@ -134,7 +142,7 @@ class TestZScores:
     def test_zero_variance_reason(self):
         baseline = assign_bins([census_of(3, c0=2)] * 2, BinSpec())
         focus = assign_bins([census_of(3, c0=5)], BinSpec())
-        report = z_scores(fit_null_model(focus), fit_null_model(baseline), CLASS_NAMES)
+        report = z_scores(fit_null_model(focus), fit_null_model(baseline))
         cell = report.cells[0]
         assert cell.z is None
         assert cell.reason == REASON_ZERO_VARIANCE
@@ -142,7 +150,7 @@ class TestZScores:
     def test_empty_side_reasons(self):
         baseline = assign_bins([census_of(3, c0=1), census_of(3, c0=3)], BinSpec())
         focus = assign_bins([census_of(8, c0=1), census_of(8, c0=2)], BinSpec())
-        report = z_scores(fit_null_model(focus), fit_null_model(baseline), CLASS_NAMES)
+        report = z_scores(fit_null_model(focus), fit_null_model(baseline))
         assert {c.reason for c in report.cells if c.bin_label == "1-5"} == {
             REASON_EMPTY_FOCUS
         }
@@ -152,7 +160,7 @@ class TestZScores:
 
     def test_bins_empty_in_both_corpora_are_omitted(self):
         baseline = assign_bins([census_of(3, c0=1), census_of(3, c0=3)], BinSpec())
-        report = z_scores(fit_null_model(baseline), fit_null_model(baseline), CLASS_NAMES)
+        report = z_scores(fit_null_model(baseline), fit_null_model(baseline))
         assert {c.bin_label for c in report.cells} == {"1-5"}
 
     def test_mismatched_bin_specs_rejected(self):
@@ -160,7 +168,7 @@ class TestZScores:
         baseline = assign_bins([census_of(3, c0=1)], BinSpec())
         focus = assign_bins([census_of(3, c0=1)], small)
         with pytest.raises(ValueError):
-            z_scores(fit_null_model(focus), fit_null_model(baseline), CLASS_NAMES)
+            z_scores(fit_null_model(focus), fit_null_model(baseline))
 
     def test_shift_invariance(self):
         # Adding the same constant to every count of a class in both corpora
@@ -181,15 +189,13 @@ class TestZScores:
         z0 = z_scores(
             fit_null_model(assign_bins(foc, BinSpec())),
             fit_null_model(assign_bins(base, BinSpec())),
-            CLASS_NAMES,
         )
         z1 = z_scores(
             fit_null_model(assign_bins(shifted(foc, 7), BinSpec())),
             fit_null_model(assign_bins(shifted(base, 7), BinSpec())),
-            CLASS_NAMES,
         )
-        c0 = next(c for c in z0.cells if c.class_name == "k3")
-        c1 = next(c for c in z1.cells if c.class_name == "k3")
+        c0 = next(c for c in z0.cells if c.class_name == CLASS_NAMES[3])
+        c1 = next(c for c in z1.cells if c.class_name == CLASS_NAMES[3])
         assert c1.z == pytest.approx(c0.z, abs=1e-9)
 
     def test_scale_invariance(self):
@@ -209,21 +215,19 @@ class TestZScores:
         z0 = z_scores(
             fit_null_model(assign_bins(foc, BinSpec())),
             fit_null_model(assign_bins(base, BinSpec())),
-            CLASS_NAMES,
         )
         z1 = z_scores(
             fit_null_model(assign_bins(scaled(foc, 5), BinSpec())),
             fit_null_model(assign_bins(scaled(base, 5), BinSpec())),
-            CLASS_NAMES,
         )
-        c0 = next(c for c in z0.cells if c.class_name == "k3")
-        c1 = next(c for c in z1.cells if c.class_name == "k3")
+        c0 = next(c for c in z0.cells if c.class_name == CLASS_NAMES[3])
+        c1 = next(c for c in z1.cells if c.class_name == CLASS_NAMES[3])
         assert c1.z == pytest.approx(c0.z, abs=1e-9)
 
     def test_single_census_bin_has_zero_sigma(self):
         baseline = assign_bins([census_of(3, c0=7)], BinSpec())
         focus = assign_bins([census_of(3, c0=9)], BinSpec())
-        report = z_scores(fit_null_model(focus), fit_null_model(baseline), CLASS_NAMES)
+        report = z_scores(fit_null_model(focus), fit_null_model(baseline))
         assert all(c.reason == REASON_ZERO_VARIANCE for c in report.cells)
 
 
@@ -244,7 +248,7 @@ class TestZScores:
 
         for _ in range(30):
             baseline, focus = assign_bins(sample(), BinSpec()), assign_bins(sample(), BinSpec())
-            report = z_scores(fit_null_model(focus), fit_null_model(baseline), CLASS_NAMES)
+            report = z_scores(fit_null_model(focus), fit_null_model(baseline))
             expected = {}
             for side, binned in (("null", baseline), ("focus", focus)):
                 for b, group in enumerate(binned.groups):
