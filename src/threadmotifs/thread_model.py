@@ -14,13 +14,23 @@ seconds and are not required to be monotone along parent links.
 
 from __future__ import annotations
 
+import itertools
 import json
+import re
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import CorpusParseError, ThreadValidationError
 
 SOURCES = ("focus", "baseline")
 DELETED_SENTINEL = "[deleted]"
+# The deepest nesting a line may have: far above the three levels a thread needs,
+# and far below the JSON decoder's recursion budget, which depends on the call
+# depth (on Python 3.11, 1,000 frames less the caller's).
+MAX_NESTING = 200
+_ESCAPE = re.compile(rb"\\.", re.DOTALL)
+_BRACKETS = bytes.maketrans(b"{}", b"[]")
+_NOT_STRUCTURE = bytes(set(range(256)).difference(b'"[]{}'))
+_LEVEL_STEP = {ord("["): 1, ord("]"): -1}
 
 
 class PostRecord(NamedTuple):
@@ -205,21 +215,39 @@ def _index_thread(
     )
 
 
+def _nesting(line: bytes) -> int:
+    """The deepest nesting of a line: the running count's maximum, where each
+    ``[`` or ``{`` outside strings adds one and each ``]`` or ``}`` takes one
+    away. A backslash escapes the byte after it."""
+    # Without escapes, dropping adjacent quote pairs keeps every other byte in
+    # or out of a string, and the pieces between the quotes left alternate.
+    structure = _ESCAPE.sub(b"", line).translate(_BRACKETS, _NOT_STRUCTURE).replace(b'""', b"")
+    if b'"' in structure:
+        structure = b"".join(structure.split(b'"')[::2])
+    # No "][" holds the maximum, so dropping them keeps it (a thread leaves "[[[]]]").
+    steps = map(_LEVEL_STEP.__getitem__, structure.replace(b"][", b""))
+    return max(itertools.accumulate(steps, initial=0))
+
+
 def parse_thread_line(line: bytes, line_no: int = 1) -> ThreadRecord:
     """Parse and validate a single corpus line, given as UTF-8 bytes.
 
-    Faults are reported in this order: UTF-8 or JSON, a line that is not an
-    object, then the thread's (see ``_index_thread``).
+    Faults are reported in this order: UTF-8, nesting deeper than
+    ``MAX_NESTING``, JSON, a line that is not an object, then the thread's
+    (see ``_index_thread``).
     """
     try:
-        obj = json.loads(line.decode("utf-8"))
+        text = line.decode("utf-8")
     except UnicodeDecodeError as err:
         message = f"invalid UTF-8 ({err.reason} at byte offset {err.start})"
         raise CorpusParseError(line_no, message) from err
+    # A line with no more opening brackets than the limit cannot nest deeper.
+    if line.count(b"[") + line.count(b"{") > MAX_NESTING and _nesting(line) > MAX_NESTING:
+        raise CorpusParseError(line_no, "JSON nested too deeply")
+    try:
+        obj = json.loads(text)
     except json.JSONDecodeError as err:
         raise CorpusParseError(line_no, f"invalid JSON ({err.msg})") from err
-    except RecursionError as err:
-        raise CorpusParseError(line_no, "JSON nested too deeply") from err
     except ValueError as err:  # an integer literal over int's digit limit
         raise CorpusParseError(line_no, "JSON integer has too many digits") from err
     if not isinstance(obj, dict):
@@ -229,18 +257,17 @@ def parse_thread_line(line: bytes, line_no: int = 1) -> ThreadRecord:
 
 def parse_numbered(
     lines: Iterable[bytes],
-    on_error: Callable[[CorpusParseError | ThreadValidationError], None] | None = None,
+    on_error: Callable[[CorpusParseError | ThreadValidationError], None],
     first_line: int = 1,
 ) -> Iterator[tuple[int, ThreadRecord]]:
     """Yield (line number, thread) per well-formed thread of a corpus dump.
 
     Lines are UTF-8 bytes, decoded one at a time, so an undecodable line is
     reported like any other malformed one. A blank line holds only JSON
-    whitespace (space, tab, CR, LF) and is skipped without a report. When
-    ``on_error`` is given, each malformed line or invalid thread is reported
-    to it and parsing continues; when it is None the first error is raised.
-    ``lines[0]`` is numbered ``first_line``, so a caller that parses a dump
-    in pieces keeps the dump's line numbers.
+    whitespace (space, tab, CR, LF) and is skipped without a report. Each
+    malformed line or invalid thread is reported to ``on_error``, and
+    parsing continues. ``lines[0]`` is numbered ``first_line``, so a caller
+    that parses a dump in pieces keeps the dump's line numbers.
     """
     for line_no, line in enumerate(lines, start=first_line):
         if not line.strip(b" \t\r\n"):
@@ -248,8 +275,6 @@ def parse_numbered(
         try:
             yield line_no, parse_thread_line(line, line_no)
         except (CorpusParseError, ThreadValidationError) as err:
-            if on_error is None:
-                raise
             on_error(err)
 
 

@@ -8,7 +8,7 @@ import os
 import random
 import subprocess
 import sys
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,6 +38,14 @@ def to_json_line(thread: ThreadRecord) -> str:
             ],
         }
     )
+
+
+def nested_thread_line(depth: int, thread_id: str = "t") -> bytes:
+    """A valid two-post thread as one line whose brackets nest ``depth``
+    levels deep (at least 3), in an extra field the parser ignores."""
+    thread = make_thread(thread_id, "focus", [("p0", None, "a", 0), ("p1", "p0", "b", 5)])
+    nest = "[" * (depth - 1) + "]" * (depth - 1)
+    return f'{to_json_line(thread)[:-1]}, "x": {nest}}}'.encode()
 
 
 def run_python(script, *args, timeout=60, stderr=subprocess.PIPE):
@@ -216,25 +224,51 @@ def instances_oracle(g: UserGraph, cls: AnchoredTriadClass) -> list[tuple[int, i
     ]
 
 
+# The README's nesting limit: a line that nests deeper is malformed.
+README_NESTING_LIMIT = 200
+
+
+def nesting_oracle(text: str) -> int:
+    """The most brackets open at once outside strings, read one character at
+    a time: a backslash escapes the next character, a quote starts or ends a
+    string, and ] and } close a level even where none is open."""
+    depth = deepest = 0
+    in_string = escaped = False
+    for char in text:
+        if escaped:
+            escaped = False
+        elif char == "\\":
+            escaped = True
+        elif char == '"':
+            in_string = not in_string
+        elif not in_string and char in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif not in_string and char in "]}":
+            depth -= 1
+    return deepest
+
+
 def parse_oracle(line: bytes, line_no: int = 1) -> ThreadRecord:
     """parse_thread_line as a two-pass validator: check every post's fields,
     then index the posts in separate passes (ids, roots, parents, a walk
     from the root, authors)."""
-    try:
-        obj = json.loads(line.decode("utf-8"))
-    except UnicodeDecodeError as err:
-        message = f"invalid UTF-8 ({err.reason} at byte offset {err.start})"
-        raise CorpusParseError(line_no, message) from err
-    except json.JSONDecodeError as err:
-        raise CorpusParseError(line_no, f"invalid JSON ({err.msg})") from err
-    except RecursionError as err:
-        raise CorpusParseError(line_no, "JSON nested too deeply") from err
-    except ValueError as err:
-        raise CorpusParseError(line_no, "JSON integer has too many digits") from err
 
     def fail(message: str):
         raise CorpusParseError(line_no, message)
 
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError as err:
+        fail(f"invalid UTF-8 ({err.reason} at byte offset {err.start})")
+    if nesting_oracle(text) > README_NESTING_LIMIT:
+        fail("JSON nested too deeply")
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as err:
+        fail(f"invalid JSON ({err.msg})")
+    except ValueError:
+        fail("JSON integer has too many digits")
     if not isinstance(obj, dict):
         fail("thread must be a JSON object")
     thread_id = obj.get("thread_id")
@@ -345,25 +379,22 @@ def csv_row(fields) -> str:
 README_BINS = tuple((lo, lo + 4) for lo in range(1, 40, 5))
 
 
-def census_reference(
+def corpus_reference(
     data: bytes, min_extra_posts: int = 5, drop_deleted_root: bool = True,
     sentinel: str = "[deleted]",
-) -> tuple[bytes, str]:
-    r"""The census.csv bytes and the stderr text of ``census`` on corpus
-    ``data``, from the oracles and the README's rules alone.
+) -> tuple[list[ThreadRecord], list[str]]:
+    r"""The threads a corpus command keeps from corpus ``data``, in input
+    order, and the stderr lines it writes about them, from the oracles and
+    the README's rules alone.
 
     Lines end at \n, \r\n or a lone \r and are numbered from 1. A line of
     spaces and tabs is skipped quietly, and one parse_oracle rejects is
     skipped with a warning. Among valid threads the first with an id wins; a
     later one is skipped and counted with the malformed lines. The filter
     keeps a thread with at least ``min_extra_posts`` replies whose root
-    author, when ``drop_deleted_root``, is not ``sentinel``. Each kept
-    thread's row holds census_naive's counts on user_graph_oracle, under the
-    class table that the naming rules derive.
+    author, when ``drop_deleted_root``, is not ``sentinel``.
     """
-    table = class_table_oracle()
-    rows = [csv_row(["thread_id", "source", "n_users", "bin", *table.names])]
-    warnings = []
+    kept, warnings = [], []
     first_line_of: dict[str, int] = {}
     parsed = 0
     for line_no, line in enumerate(data.splitlines(), start=1):
@@ -383,22 +414,101 @@ def census_reference(
             continue
         parsed += 1
         root_author = thread.users[thread.author_of[thread.root]]
-        if thread.n_posts - 1 < min_extra_posts or (
+        if thread.n_posts - 1 >= min_extra_posts and not (
             drop_deleted_root and root_author == sentinel
         ):
-            continue
+            kept.append(thread)
+    if warnings:
+        warnings.append(f"warning: {len(warnings)} malformed line(s)/thread(s) skipped")
+    if parsed > len(kept):
+        warnings.append(f"info: filter dropped {parsed - len(kept)} of {parsed} threads")
+    if not kept:
+        warnings.append("warning: no threads remain after filtering")
+    return kept, warnings
+
+
+def _csv_bytes(header, rows) -> bytes:
+    return "".join(map(csv_row, [header, *rows])).encode()
+
+
+def _stderr(warnings) -> str:
+    return "".join(w + "\n" for w in warnings)
+
+
+def census_reference(data: bytes, **filters) -> tuple[bytes, str]:
+    """The census.csv bytes and the stderr text of ``census`` on corpus
+    ``data``: each kept thread's row holds census_naive's counts on
+    user_graph_oracle, under the class table that the naming rules derive."""
+    threads, warnings = corpus_reference(data, **filters)
+    table = class_table_oracle()
+    rows = []
+    for thread in threads:
         census = census_naive(user_graph_oracle(thread), table)
         n = census.n_users
         label = next((f"{lo}-{hi}" for lo, hi in README_BINS if lo <= n <= hi), "")
-        rows.append(csv_row([thread.thread_id, thread.source, n, label, *census.counts]))
-    skipped, kept = len(warnings), len(rows) - 1
-    if skipped:
-        warnings.append(f"warning: {skipped} malformed line(s)/thread(s) skipped")
-    if parsed > kept:
-        warnings.append(f"info: filter dropped {parsed - kept} of {parsed} threads")
-    if not kept:
-        warnings.append("warning: no threads remain after filtering")
-    return "".join(rows).encode(), "".join(w + "\n" for w in warnings)
+        rows.append([thread.thread_id, thread.source, n, label, *census.counts])
+    header = ["thread_id", "source", "n_users", "bin", *table.names]
+    return _csv_bytes(header, rows), _stderr(warnings)
+
+
+def reply_tree_oracle(thread: ThreadRecord) -> dict[str, tuple[int, int]]:
+    """(in-degree, out-degree) of each post id, counted from thread.posts."""
+    posts = thread.posts
+    return {
+        post.id: (sum(1 for other in posts if other.parent == post.id), int(post.parent is not None))
+        for post in posts
+    }
+
+
+def degrees_reference(data: bytes, **filters) -> tuple[bytes, bytes, str]:
+    """The degrees.csv and degree_hist.csv bytes and the stderr text of
+    ``degrees`` on corpus ``data``. Each kept thread gives a row per user of
+    user_graph_oracle, then one per post of reply_tree_oracle, named
+    ``thread_id:node``; the histograms pool every row and are sorted."""
+    threads, warnings = corpus_reference(data, **filters)
+    rows = []
+    for thread in threads:
+        g = user_graph_oracle(thread)
+        for i, user in enumerate(g.users):
+            degrees = (sum(v == i for _, v in g.edges), sum(u == i for u, _ in g.edges))
+            rows.append(("user", f"{thread.thread_id}:{user}", *degrees))
+        for post, degrees in reply_tree_oracle(thread).items():
+            rows.append(("reply", f"{thread.thread_id}:{post}", *degrees))
+    hist = Counter(
+        (graph, kind, degree)
+        for graph, _, *degrees in rows
+        for kind, degree in zip(("in", "out"), degrees)
+    )
+    return (
+        _csv_bytes(("graph", "node", "in_degree", "out_degree"), rows),
+        _csv_bytes(
+            ("graph", "degree_kind", "degree", "count"),
+            sorted((*key, count) for key, count in hist.items()),
+        ),
+        _stderr(warnings),
+    )
+
+
+def timing_reference(data: bytes, class_name: str, **filters) -> tuple[bytes, str]:
+    """The timing.csv bytes and the stderr text of ``timing class_name`` on
+    corpus ``data``: completion_oracle's instances of each kept thread, by
+    user name, and the lower median of every fraction."""
+    threads, warnings = corpus_reference(data, **filters)
+    table = class_table_oracle()
+    cls = table.classes[table.name_index[class_name]]
+    rows, fractions = [], []
+    for thread in threads:
+        g = user_graph_oracle(thread)
+        t0, t1 = thread.timestamps[thread.root], max(thread.timestamps)
+        for (v, w), fraction in completion_oracle(g, cls, t0, t1):
+            fractions.append(fraction)
+            rows.append(("instance", thread.thread_id, g.users[v], g.users[w], f"{fraction:.6f}"))
+    if fractions:
+        rows.append(("median", "", "", "", f"{sorted(fractions)[(len(fractions) - 1) // 2]:.6f}"))
+    else:
+        warnings.append(f"warning: no instances of {class_name} found, median undefined")
+    header = ("kind", "thread_id", "v_user", "w_user", "fraction")
+    return _csv_bytes(header, rows), _stderr(warnings)
 
 
 def completion_oracle(g: UserGraph, cls: AnchoredTriadClass, t0: int, t1: int) -> list:

@@ -29,10 +29,11 @@ from threadmotifs.expression_stats import BinSpec
 from threadmotifs.graphs import build_user_graph
 from threadmotifs.macro_metrics import lower_median
 from threadmotifs.motif_census import census_naive, get_class_table
-from threadmotifs.thread_model import parse_thread_line
+from threadmotifs.thread_model import MAX_NESTING, parse_thread_line
 
 from support import (
-    census_reference, fig2_thread, make_thread, run_python, synth_corpus, to_json_line
+    census_reference, class_table_oracle, degrees_reference, fig2_thread, make_thread,
+    nested_thread_line, run_python, synth_corpus, timing_reference, to_json_line,
 )
 
 
@@ -1875,19 +1876,13 @@ def _synth_line(seed: int, source: str) -> bytes:
 
 
 # _corpus_lines, with valid threads of up to 34 users and special text added.
-# Nesting near the JSON decoder's recursion limit is left out: there the
-# verdict depends on the caller's stack depth, which differs between the
-# reference, the main process and a worker (a known fault: ROADMAP item 14).
 _reference_corpora = st.builds(
     lambda lines, end: end.join(lines),
     st.lists(
         st.one_of(
             st.builds(_synth_line, st.integers(0, 5), st.sampled_from(["focus", "baseline"])),
             special_threads().map(str.encode),
-            st.binary(max_size=80),
-            _threads.map(lambda t: json.dumps(t).encode()),
-            st.one_of(st.integers(1, 300), st.just(200_000)).map(lambda n: b"[" * n),
-            st.integers(1, 6000).map(lambda n: b'{"t": ' + b"9" * n + b"}"),
+            _corpus_lines,
         ),
         max_size=8,
     ),
@@ -1895,36 +1890,141 @@ _reference_corpora = st.builds(
 )
 
 
-@_FUZZ
-@given(data=_reference_corpora, min_extra_posts=st.integers(0, 6), keep_deleted=st.booleans())
-@example(data=hostile_corpus_bytes(), min_extra_posts=5, keep_deleted=False)
-@example(data=reply_first_corpus_bytes(), min_extra_posts=1, keep_deleted=False)
-@example(data=special_corpus_bytes(), min_extra_posts=5, keep_deleted=False)
-@example(
-    data=b"\n".join([to_json_line(fig2_thread()).encode(), *(v[0] for v in HOSTILE_LINES.values())]),
-    min_extra_posts=0, keep_deleted=True,
-)
-def test_census_matches_the_reference(
-    tmp_path, monkeypatch, capsys, data, min_extra_posts, keep_deleted
+def nesting_corpus_bytes() -> bytes:
+    """A thread nested MAX_NESTING deep, one nested a level deeper, and lines
+    of MAX_NESTING and of 985 [. With the verdict left to the JSON decoder's
+    recursion budget, Python 3.11 called the last one invalid JSON in one
+    process and nested too deeply in another."""
+    return b"\n".join([
+        nested_thread_line(MAX_NESTING, "at"),
+        nested_thread_line(MAX_NESTING + 1, "past"),
+        b"[" * MAX_NESTING,
+        b"[" * 985,
+    ])
+
+
+def _reference_examples(**extra):
+    """The explicit corpora that each reference test starts from."""
+    corpora = [
+        (hostile_corpus_bytes(), 5, False),
+        (reply_first_corpus_bytes(), 1, False),
+        (special_corpus_bytes(), 5, False),
+        (nesting_corpus_bytes(), 0, False),
+        (
+            b"\n".join([to_json_line(fig2_thread()).encode(), *(v[0] for v in HOSTILE_LINES.values())]),
+            0, True,
+        ),
+    ]
+
+    def examples(test):
+        for data, min_extra_posts, keep_deleted in corpora:
+            test = example(
+                data=data, min_extra_posts=min_extra_posts, keep_deleted=keep_deleted, **extra
+            )(test)
+        return test
+
+    return examples
+
+
+def _reference_runs(
+    tmp_path, monkeypatch, capsys, command, names, data, min_extra_posts, keep_deleted
 ):
-    """census.csv and stderr equal support.census_reference's byte for byte,
-    at --jobs 1 and at --jobs 2 with one line per batch."""
+    """The named CSVs' bytes and stderr of ``command`` on corpus ``data``, at
+    --jobs 1, then at --jobs 2 with one line per batch."""
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_bytes(data)
-    expected = census_reference(data, min_extra_posts, drop_deleted_root=not keep_deleted)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     flags = ["--min-extra-posts", str(min_extra_posts)] + ["--keep-deleted-root"] * keep_deleted
 
     def run(jobs):
         out = tmp_path / f"j{jobs}"
-        argv = ["census", "--input", str(corpus), "--out", str(out), "--jobs", jobs, *flags]
+        argv = [*command, "--input", str(corpus), "--out", str(out), "--jobs", jobs, *flags]
         assert main(argv) == 0
-        return (out / "census.csv").read_bytes(), capsys.readouterr().err
+        return (*((out / name).read_bytes() for name in names), capsys.readouterr().err)
 
-    assert run("1") == expected
+    serial = run("1")
     with monkeypatch.context() as patch:
         patch.setattr(cli, "BATCH_BYTES", 1)
-        assert run("2") == expected
+        return [serial, run("2")]
+
+
+_REFERENCE_ARGS = dict(
+    data=_reference_corpora, min_extra_posts=st.integers(0, 6), keep_deleted=st.booleans()
+)
+
+
+@_FUZZ
+@given(**_REFERENCE_ARGS)
+@_reference_examples()
+def test_census_matches_the_reference(
+    tmp_path, monkeypatch, capsys, data, min_extra_posts, keep_deleted
+):
+    """census.csv and stderr equal support.census_reference's byte for byte,
+    at --jobs 1 and at --jobs 2 with one line per batch."""
+    expected = census_reference(
+        data, min_extra_posts=min_extra_posts, drop_deleted_root=not keep_deleted
+    )
+    runs = _reference_runs(
+        tmp_path, monkeypatch, capsys, ["census"], ["census.csv"], data, min_extra_posts, keep_deleted
+    )
+    assert runs == [expected, expected]
+
+
+@_FUZZ
+@given(**_REFERENCE_ARGS)
+@_reference_examples()
+def test_degrees_matches_the_reference(
+    tmp_path, monkeypatch, capsys, data, min_extra_posts, keep_deleted
+):
+    """degrees.csv, degree_hist.csv and stderr equal support.degrees_reference's
+    byte for byte, at --jobs 1 and at --jobs 2 with one line per batch."""
+    expected = degrees_reference(
+        data, min_extra_posts=min_extra_posts, drop_deleted_root=not keep_deleted
+    )
+    runs = _reference_runs(
+        tmp_path, monkeypatch, capsys, ["degrees"], ["degrees.csv", "degree_hist.csv"],
+        data, min_extra_posts, keep_deleted,
+    )
+    assert runs == [expected, expected]
+
+
+@_FUZZ
+@given(
+    class_name=st.sampled_from([c.name for c in class_table_oracle().classes if c.name != "003"]),
+    **_REFERENCE_ARGS,
+)
+@_reference_examples(class_name="201-b")
+def test_timing_matches_the_reference(
+    tmp_path, monkeypatch, capsys, data, min_extra_posts, keep_deleted, class_name
+):
+    """timing.csv and stderr equal support.timing_reference's byte for byte,
+    at --jobs 1 and at --jobs 2 with one line per batch."""
+    expected = timing_reference(
+        data, class_name, min_extra_posts=min_extra_posts, drop_deleted_root=not keep_deleted
+    )
+    runs = _reference_runs(
+        tmp_path, monkeypatch, capsys, ["timing", class_name], ["timing.csv"],
+        data, min_extra_posts, keep_deleted,
+    )
+    assert runs == [expected, expected]
+
+
+def test_nesting_limit_holds_at_any_jobs(tmp_path, monkeypatch, capsys):
+    """A thread nested MAX_NESTING deep is kept, and a line nested deeper is
+    skipped, at --jobs 1 and at --jobs 2 with one line per batch: the verdict
+    does not depend on the stack depth of the process that parses it."""
+    runs = _reference_runs(
+        tmp_path, monkeypatch, capsys, ["census"], ["census.csv"], nesting_corpus_bytes(), 0, False
+    )
+    csv_bytes, stderr = runs[0]
+    assert [row[0] for row in csv.reader(csv_bytes.decode().splitlines())][1:] == ["at"]
+    assert stderr == (
+        "warning: skipped line 2: JSON nested too deeply\n"
+        "warning: skipped line 3: invalid JSON (Expecting value)\n"
+        "warning: skipped line 4: JSON nested too deeply\n"
+        "warning: 3 malformed line(s)/thread(s) skipped\n"
+    )
+    assert runs[1] == runs[0]
 
 
 @_FUZZ

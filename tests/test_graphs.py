@@ -8,7 +8,7 @@ from threadmotifs.graphs import build_user_graph, degree_sequences
 from threadmotifs.macro_metrics import branching_factor
 from threadmotifs.thread_model import PostRecord, ThreadRecord
 
-from support import fig2_thread, make_thread, synth_corpus
+from support import fig2_thread, make_thread, reply_tree_oracle, synth_corpus
 
 
 def edge_names(g):
@@ -156,15 +156,6 @@ class TestDegreeSequences:
             assert sum(report.out_degrees) == thread.n_posts - 1
             expected_out = [int(post != thread.root) for post in range(thread.n_posts)]
             assert list(report.out_degrees) == expected_out
-
-
-def reply_tree_oracle(thread):
-    """(in-degree, out-degree) of each post id, counted from thread.posts."""
-    posts = thread.posts
-    return {
-        post.id: (sum(1 for other in posts if other.parent == post.id), int(post.parent is not None))
-        for post in posts
-    }
 
 
 class TestReplyTreeFromThread:

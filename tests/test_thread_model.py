@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import pickle
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from threadmotifs.errors import CorpusParseError, ThreadValidationError
 from threadmotifs.thread_model import (
+    MAX_NESTING,
     SOURCES,
     FilterPolicy,
     PostRecord,
@@ -21,7 +24,7 @@ from threadmotifs.thread_model import (
     thread_lifetime,
 )
 
-from support import make_thread, parse_oracle, synth_corpus, to_json_line
+from support import make_thread, nested_thread_line, parse_oracle, synth_corpus, to_json_line
 
 
 def thread_json(thread_id="t", source="focus", posts=None) -> bytes:
@@ -35,8 +38,10 @@ def thread_json(thread_id="t", source="focus", posts=None) -> bytes:
 
 class TestParse:
     def test_minimal_two_post_thread(self):
-        numbered = list(parse_numbered([thread_json()]))
+        errors = []
+        numbered = list(parse_numbered([thread_json()], on_error=errors.append))
         assert [n for n, _ in numbered] == [1]
+        assert errors == []
         t = numbered[0][1]
         assert t.n_posts == 2
         assert t.post_ids[t.root] == "p0"
@@ -71,11 +76,6 @@ class TestParse:
         numbered = list(parse_numbered(lines, on_error=errors.append, first_line=40))
         assert [(n, t.thread_id) for n, t in numbered] == [(42, "t")]
         assert [e.line_no for e in errors] == [40, 43]
-
-    def test_malformed_line_raises_with_line_number(self):
-        with pytest.raises(CorpusParseError) as exc:
-            list(parse_numbered([thread_json(), b"[]"]))
-        assert exc.value.line_no == 2
 
     def test_duplicate_post_id_rejected(self):
         line = thread_json(
@@ -174,8 +174,10 @@ class TestParse:
         assert str(info.value) == reason
 
     def test_blank_lines_skipped(self):
-        numbered = list(parse_numbered([b"", thread_json(), b"   \n"]))
+        errors = []
+        numbered = list(parse_numbered([b"", thread_json(), b"   \n"], on_error=errors.append))
         assert [n for n, _ in numbered] == [2]
+        assert errors == []
 
     def test_only_json_whitespace_is_blank(self):
         # bytes.strip() would also remove "\x0b" and "\x0c", which json.loads
@@ -191,8 +193,27 @@ class TestParse:
     def test_round_trip(self):
         originals = synth_corpus(20, "focus", reply_back_prob=0.4, seed=7)
         lines = [to_json_line(t).encode() for t in originals]
-        reparsed = [t for _, t in parse_numbered(lines)]
+        errors = []
+        reparsed = [t for _, t in parse_numbered(lines, on_error=errors.append)]
         assert reparsed == originals
+        assert errors == []
+
+    def test_nesting_verdict_does_not_depend_on_the_call_depth(self):
+        # The deeper call leaves the JSON decoder about 50 levels of
+        # recursion budget beyond MAX_NESTING on Python 3.11, where the
+        # budget is the recursion limit less the caller's frames.
+        deep = sys.getrecursionlimit() - len(inspect.stack(0)) - MAX_NESTING - 50
+        for frames in (0, deep):
+            thread = _parse_at_depth(frames, nested_thread_line(MAX_NESTING))
+            assert thread.post_ids == ("p0", "p1")
+            with pytest.raises(CorpusParseError) as info:
+                _parse_at_depth(frames, nested_thread_line(MAX_NESTING + 1))
+            assert str(info.value) == "line 7: JSON nested too deeply"
+
+
+def _parse_at_depth(frames, line):
+    """parse_thread_line(line, 7), called ``frames`` Python frames below this call."""
+    return parse_thread_line(line, 7) if frames == 0 else _parse_at_depth(frames - 1, line)
 
 
 def _outcome(fn, *args):
@@ -273,6 +294,17 @@ def tree_posts(draw):
     return draw(st.permutations(posts))
 
 
+# Lines of runs of brackets, quotes, backslashes and other bytes, long enough
+# to nest on either side of MAX_NESTING.
+nesting_lines = st.lists(
+    st.tuples(
+        st.sampled_from([b"[", b"{", b"]", b"}", b'"', b"\\", b"x", b"\xc3\xa9"]),
+        st.integers(1, 150),
+    ),
+    max_size=8,
+).map(lambda runs: b"".join(token * n for token, n in runs))
+
+
 def _line(*posts, thread_id="t", source="focus"):
     return json.dumps({"thread_id": thread_id, "source": source, "posts": list(posts)}).encode()
 
@@ -317,6 +349,15 @@ class TestParseOracle:
         assert _outcome(parse_thread_line, line, line_no) == _outcome(
             parse_oracle, line, line_no
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(line=nesting_lines)
+    @example(line=b'["' + b"[" * 300 + b'"]')  # brackets in a string
+    @example(line=b'"\\"' + b"[" * 201)  # an escaped quote leaves the string open
+    @example(line=b'"\\\\"' + b"[" * 201)  # an escaped backslash closes it
+    @example(line=b"]" + b"[" * 201)  # a closer first takes a level away
+    def test_nesting_matches_oracle(self, line):
+        assert _outcome(parse_thread_line, line) == _outcome(parse_oracle, line)
 
     @settings(max_examples=300, deadline=None)
     @given(line=corpus_lines(), data=st.data())
