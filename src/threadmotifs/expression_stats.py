@@ -9,10 +9,10 @@ i, with m_k the count in the k-th of N focus graphs:
     Z_i = (1/N) * sum_k (m_k - mu_null) / sigma_null
         = (mean_focus - mu_null) / sigma_null
 
-Sigmas are population ones (no Bessel correction), and every sum runs over
-the graphs in input order with plain float adds, so results are reproducible
-bit for bit. Cells with an empty bin on either side, or zero baseline
-variance, carry an explicit reason instead of a Z.
+Sigmas are population ones (no Bessel correction). Each mean and variance
+comes from exact integer sums, rounded once, so results are reproducible bit
+for bit in any row order. Cells with an empty bin on either side, or zero
+baseline variance, carry an explicit reason instead of a Z.
 """
 
 from __future__ import annotations
@@ -113,23 +113,20 @@ class NullModel(NamedTuple):
 def fit_null_model(binned: BinnedCensuses) -> NullModel:
     """Mean and population sigma of every class count, per bin.
 
-    Counts are integers, so each column's sum is exact before the one
-    division by n. The squared deviations are added one graph at a time in
-    group order with plain float adds: ``sum`` compensates the rounding on
-    Python 3.12+ and would change the last bits between interpreters.
+    Counts are integers, so each column's sum and sum of squares are exact
+    ints, and the variance (n * squares - total**2) / n**2 is exact until
+    int division rounds it once, as it does the mean. So the fit does not
+    depend on the order of the graphs.
     """
     mus, sigmas = [], []
     for group in binned.groups:
         n = len(group)
         means, sds = [], []
         for column in zip(*(c.counts for c in group)):
-            mean = float(sum(column)) / n
-            squares = 0.0
-            for count in column:
-                deviation = count - mean
-                squares += deviation * deviation
-            means.append(mean)
-            sds.append(math.sqrt(squares / n))
+            total = sum(column)
+            squares = sum(m * m for m in column)
+            means.append(total / n)
+            sds.append(math.sqrt((n * squares - total * total) / (n * n)))
         mus.append(tuple(means) if n else None)
         sigmas.append(tuple(sds) if n else None)
     return NullModel(binned.spec, tuple(map(len, binned.groups)), tuple(mus), tuple(sigmas))

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -509,6 +512,131 @@ def timing_reference(data: bytes, class_name: str, **filters) -> tuple[bytes, st
         warnings.append(f"warning: no instances of {class_name} found, median undefined")
     header = ("kind", "thread_id", "v_user", "w_user", "fraction")
     return _csv_bytes(header, rows), _stderr(warnings)
+
+
+# The macro_metrics.csv columns after thread_id, n_posts and n_users; each
+# has an ECDF file.
+README_MACRO_METRICS = (
+    "responsiveness_median_s", "reciprocity", "op_betweenness", "branching_factor"
+)
+
+
+def _fmt(value) -> str:
+    return "" if value is None else f"{value:.6f}"
+
+
+def macro_reference(data: bytes, branching_mode: str, **filters) -> tuple:
+    """The macro_metrics.csv and ecdf_<metric>.csv bytes, in README_MACRO_METRICS
+    order, and the stderr text of ``macro --branching-mode branching_mode``
+    on corpus ``data``: user_graph_oracle's users and edges, the lower median
+    of the sorted gaps, betweenness_oracle_exact rounded once, the replies
+    that parent_of counts over the replied-to posts or over all posts, and
+    each ECDF from its sorted defined values."""
+    threads, warnings = corpus_reference(data, **filters)
+    rows = []
+    for thread in threads:
+        g = user_graph_oracle(thread)
+        times = sorted(thread.timestamps)
+        gaps = sorted(b - a for a, b in zip(times, times[1:]))
+        parents = [p for p in thread.parent_of if p is not None]
+        over = len(thread.parent_of) if branching_mode == "all" else len(set(parents))
+        rows.append((
+            thread.thread_id, thread.n_posts, g.n_users,
+            gaps[(len(gaps) - 1) // 2] if gaps else None,
+            sum((v, u) in g.edges for u, v in g.edges) / len(g.edges) if g.edges else 0.0,
+            float(betweenness_oracle_exact(g)),
+            len(parents) / over if over else None,
+        ))
+    files = [_csv_bytes(("thread_id", "n_posts", "n_users", *README_MACRO_METRICS),
+                        [(*row[:3], *map(_fmt, row[3:])) for row in rows])]
+    for column, metric in enumerate(README_MACRO_METRICS, start=3):
+        values = sorted(row[column] for row in rows if row[column] is not None)
+        if not values:
+            warnings.append(f"warning: no defined values for {metric}, ECDF is empty")
+        files.append(_csv_bytes(
+            ("value", "cum_fraction"),
+            [(_fmt(v), _fmt((i + 1) / len(values))) for i, v in enumerate(values)],
+        ))
+    return (*files, _stderr(warnings))
+
+
+def compare_reference(
+    focus: bytes, baseline: bytes, bins, rarity_threshold: float
+) -> tuple[bytes, bytes, str]:
+    """The compare.csv and expression_summary.csv bytes and the stderr text of
+    ``compare`` on two census files, from the README's rules. Rows are re-binned
+    by n_users into ``bins``, (lo, hi) pairs. A bin's mean and population
+    variance of each class count are Fractions, each rounded once, and
+    Z = (mean_focus - mu_null) / sigma_null. A class is rare unless a mean on
+    either side is above ``rarity_threshold``; then |Z| > 1 is over or under,
+    and any other Z equal."""
+    warnings, unbinned, fits = [], [], []
+    for side, data in (("focus", focus), ("baseline", baseline)):
+        header, *rows = csv.reader(io.StringIO(data.decode(), newline=""))
+        strays = sum(row[1] != side for row in rows)
+        if strays:
+            warnings.append(
+                f"warning: {strays} of {len(rows)} row(s) in the {side} census have another source"
+            )
+        groups = [[row[4:] for row in rows if lo <= int(row[2]) <= hi] for lo, hi in bins]
+        if len(rows) > sum(map(len, groups)):
+            left = len(rows) - sum(map(len, groups))
+            unbinned.append(f"warning: {left} {side} graph(s) outside every bin left unbinned")
+        fits.append([(len(group), exact_moments(group)) for group in groups])
+    names = header[4:]
+    cells = []  # bin, class, M, mu, sigma, se, N, mean, sigma, se, Z, reason
+    for (lo, hi), (n, focus_stats), (m, null_stats) in zip(bins, *fits):
+        for i, name in enumerate(names if m or n else ()):
+            mu, sigma, se = null_stats[i] if m else (None,) * 3
+            mean, *spread = focus_stats[i] if n else (None,) * 3
+            reason = (
+                "empty baseline bin" if not m else "empty focus bin" if not n
+                else "zero baseline variance" if sigma == 0 else None
+            )
+            z = None if reason else (mean - mu) / sigma
+            cells.append([f"{lo}-{hi}", name, m, mu, sigma, se, n, mean, *spread, z, reason])
+    populated = {
+        cell[1] for cell in cells for mean in (cell[3], cell[7])
+        if mean is not None and mean > rarity_threshold
+    }
+    labels = {name: set() for name in names}
+    rows = []
+    for cell in cells:
+        z = cell[10]
+        label = (
+            "rare" if cell[1] not in populated else "" if z is None
+            else "over" if z > 1 else "under" if z < -1 else "equal"
+        )
+        labels[cell[1]].add(label)
+        rows.append([*cell[:3], *map(_fmt, cell[3:6]), cell[6], *map(_fmt, cell[7:11]), label,
+                     cell[11] or ""])
+    summary = [
+        (name, "+".join(sorted(labels[name] & {"over", "under"} or {"equal"}))
+         if name in populated else "rare")
+        for name in names
+    ]
+    columns = (
+        "bin,class,M,mu_null,sigma_null,se_null,N,mean_focus,sigma_focus,se_focus,z,label,reason"
+    ).split(",")
+    return (
+        _csv_bytes(columns, rows),
+        _csv_bytes(("class", "labels"), summary),
+        _stderr(warnings + unbinned),
+    )
+
+
+def exact_moments(group) -> list[tuple[float, float, float]]:
+    """The mean, population sigma and standard error of each count column of
+    a group of census rows (ints or their digits). The mean is a Fraction and
+    the variance the Fraction mean of squared deviations from it, each
+    rounded once."""
+    k = len(group)
+    stats = []
+    for column in zip(*(map(int, counts) for counts in group)):
+        mean = Fraction(sum(column), k)
+        sigma = math.sqrt(float(sum((m - mean) ** 2 for m in column) / k))
+        stats.append((float(mean), sigma, sigma / math.sqrt(k)))
+    return stats
 
 
 def completion_oracle(g: UserGraph, cls: AnchoredTriadClass, t0: int, t1: int) -> list:

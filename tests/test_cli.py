@@ -32,8 +32,9 @@ from threadmotifs.motif_census import census_naive, get_class_table
 from threadmotifs.thread_model import MAX_NESTING, parse_thread_line
 
 from support import (
-    census_reference, class_table_oracle, degrees_reference, fig2_thread, make_thread,
-    nested_thread_line, run_python, synth_corpus, timing_reference, to_json_line,
+    README_BINS, README_MACRO_METRICS, census_reference, class_table_oracle, compare_reference,
+    degrees_reference, fig2_thread, macro_reference, make_thread, nested_thread_line, run_python,
+    synth_corpus, timing_reference, to_json_line,
 )
 
 
@@ -2007,6 +2008,91 @@ def test_timing_matches_the_reference(
         data, min_extra_posts, keep_deleted,
     )
     assert runs == [expected, expected]
+
+
+@_FUZZ
+@given(branching_mode=st.sampled_from(["internal", "all"]), **_REFERENCE_ARGS)
+@_reference_examples(branching_mode="all")
+@example(data=b"", min_extra_posts=0, keep_deleted=False, branching_mode="internal")
+def test_macro_matches_the_reference(
+    tmp_path, monkeypatch, capsys, data, min_extra_posts, keep_deleted, branching_mode
+):
+    """macro_metrics.csv, the four ECDF files and stderr equal
+    support.macro_reference's byte for byte, at --jobs 1 and at --jobs 2 with
+    one line per batch."""
+    expected = macro_reference(
+        data, branching_mode, min_extra_posts=min_extra_posts, drop_deleted_root=not keep_deleted
+    )
+    runs = _reference_runs(
+        tmp_path, monkeypatch, capsys, ["macro", "--branching-mode", branching_mode],
+        ["macro_metrics.csv", *(f"ecdf_{metric}.csv" for metric in README_MACRO_METRICS)],
+        data, min_extra_posts, keep_deleted,
+    )
+    assert runs == [expected, expected]
+
+
+def _bin_ranges(steps):
+    """Ascending inclusive ranges from 1 up: each (gap, width) step leaves
+    ``gap`` user counts out of every bin, then spans ``width`` + 1 counts."""
+    ranges, start = [], 1
+    for gap, width in steps:
+        ranges.append((start + gap, start + gap + width))
+        start += gap + width + 1
+    return tuple(ranges)
+
+
+def z_of_one_corpora() -> dict[str, bytes]:
+    """A focus and a baseline corpus whose 1-5 bin has Z exactly 1 for class
+    021U-a: the baseline counts 1 and 0 of it (mean and sigma 1/2), the focus
+    counts 1."""
+    star = [("p0", None, "a", 0), ("p1", "p0", "b", 1), ("p2", "p0", "c", 2)]
+    chain = [("p0", None, "a", 0), ("p1", "p0", "b", 1), ("p2", "p1", "c", 2)]
+    return {
+        source: b"\n".join(
+            to_json_line(make_thread(f"t{i}", source, posts)).encode()
+            for i, posts in enumerate(threads)
+        )
+        for source, threads in (("focus", [star]), ("baseline", [star, chain]))
+    }
+
+
+@_FUZZ
+@given(
+    focus=_reference_corpora,
+    baseline=_reference_corpora,
+    bins=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=5).map(
+        _bin_ranges
+    ),
+    rarity_threshold=st.one_of(st.sampled_from([0.0, 1.0, 10.0]), st.floats(0, 50)),
+)
+@example(**z_of_one_corpora(), bins=((1, 5),), rarity_threshold=0.0)
+@example(
+    focus=hostile_corpus_bytes(), baseline=special_corpus_bytes(), bins=README_BINS[:2],
+    rarity_threshold=10.0,
+)
+def test_compare_matches_the_reference(tmp_path, capsys, focus, baseline, bins, rarity_threshold):
+    """compare.csv, expression_summary.csv and stderr equal
+    support.compare_reference's byte for byte, on the census files that
+    support.census_reference makes of two corpora."""
+    censuses = []
+    for side, data in (("focus", focus), ("baseline", baseline)):
+        census, _ = census_reference(data, min_extra_posts=0)
+        (tmp_path / f"{side}.csv").write_bytes(census)
+        censuses.append(census)
+    out = tmp_path / "out"
+    argv = [
+        "compare", "--focus", str(tmp_path / "focus.csv"),
+        "--baseline", str(tmp_path / "baseline.csv"), "--out", str(out),
+        "--bins", ",".join(f"{lo}-{hi}" for lo, hi in bins),
+        "--rarity-threshold", repr(rarity_threshold),
+    ]
+    assert main(argv) == 0
+    got = (
+        (out / "compare.csv").read_bytes(),
+        (out / "expression_summary.csv").read_bytes(),
+        capsys.readouterr().err,
+    )
+    assert got == compare_reference(*censuses, bins, rarity_threshold)
 
 
 def test_nesting_limit_holds_at_any_jobs(tmp_path, monkeypatch, capsys):

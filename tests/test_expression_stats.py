@@ -20,6 +20,8 @@ from threadmotifs.expression_stats import (
 )
 from threadmotifs.motif_census import MotifCensus, get_class_table
 
+from support import exact_moments
+
 N_CLASSES = 36
 
 
@@ -32,6 +34,17 @@ def census_of(n_users, **named_counts):
 
 
 CLASS_NAMES = get_class_table().names
+
+
+def random_sample(rng, size=None):
+    """Up to 250 censuses of 1 to 40 users, each class count drawn up to 2, 40 or 900."""
+    return [
+        census_of(
+            rng.randint(1, 40),
+            **{f"c{i}": rng.randint(0, rng.choice((2, 40, 900))) for i in range(N_CLASSES)},
+        )
+        for _ in range(size or rng.randint(1, 250))
+    ]
 
 
 class TestBinSpec:
@@ -230,40 +243,33 @@ class TestZScores:
         report = z_scores(fit_null_model(focus), fit_null_model(baseline))
         assert all(c.reason == REASON_ZERO_VARIANCE for c in report.cells)
 
-
-    def test_matches_numpy_bit_for_bit(self):
-        # The statistics were once numpy's mean/std(axis=0) over the float
-        # count matrix; the pure-Python sums must reproduce every float.
-        np = pytest.importorskip("numpy")
+    def test_matches_an_exact_rational_oracle(self):
         rng = random.Random(2024)
-
-        def sample():
-            return [
-                census_of(
-                    rng.randint(1, 40),
-                    **{f"c{i}": rng.randint(0, rng.choice((2, 40, 900))) for i in range(N_CLASSES)},
-                )
-                for _ in range(rng.randint(1, 250))
-            ]
-
         for _ in range(30):
-            baseline, focus = assign_bins(sample(), BinSpec()), assign_bins(sample(), BinSpec())
+            baseline = assign_bins(random_sample(rng), BinSpec())
+            focus = assign_bins(random_sample(rng), BinSpec())
             report = z_scores(fit_null_model(focus), fit_null_model(baseline))
             expected = {}
             for side, binned in (("null", baseline), ("focus", focus)):
                 for b, group in enumerate(binned.groups):
-                    if group:
-                        counts = np.array([c.counts for c in group], dtype=float)
-                        sigma = counts.std(axis=0)
-                        expected[side, b] = (counts.mean(axis=0), sigma, sigma / np.sqrt(len(group)))
+                    for i, stats in enumerate(exact_moments([c.counts for c in group])):
+                        expected[side, b, i] = stats
             for cell in report.cells:
                 i = CLASS_NAMES.index(cell.class_name)
                 for side, got in (
                     ("null", (cell.mu_null, cell.sigma_null, cell.se_null)),
                     ("focus", (cell.mean_focus, cell.sigma_focus, cell.se_focus)),
                 ):
-                    want = expected.get((side, cell.bin_index))
-                    assert got == ((None,) * 3 if want is None else tuple(float(a[i]) for a in want))
+                    assert got == expected.get((side, cell.bin_index, i), (None,) * 3)
+
+    def test_fit_does_not_depend_on_row_order(self):
+        rng = random.Random(7)
+        for _ in range(5):
+            binned = assign_bins(random_sample(rng, 200), BinSpec())
+            shuffled = binned._replace(
+                groups=tuple(tuple(rng.sample(group, len(group))) for group in binned.groups)
+            )
+            assert fit_null_model(shuffled) == fit_null_model(binned)
 
 
 def hand_report(rows):
