@@ -12,15 +12,13 @@ The run fails if an entry's old text does not occur exactly once in its
 file (the code has moved, so the entry needs updating), or if the named
 tests pass on an edit (the mutation survived). Run it from anywhere:
 
-    python tests/mutations.py            # every mutation
-    python tests/mutations.py -k compare # those whose name holds "compare"
+    python tests/mutations.py
 
 Its name does not match ``test_*.py``, so a plain ``pytest`` never collects it.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -226,12 +224,8 @@ def run(mutations, copy: Path) -> list[str]:
     return faults
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("-k", default="", help="run only the mutations whose name holds this text")
-    args = parser.parse_args(argv)
+def main() -> int:
     root = Path(__file__).resolve().parents[1]
-    chosen = [m for m in MUTATIONS if args.k in m.name]
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutations-") as tmp:
         copy = Path(tmp)
@@ -239,8 +233,8 @@ def main(argv=None) -> int:
         for part in ("src", "tests"):
             shutil.copytree(root / part, copy / part, ignore=ignore)
         shutil.copy2(root / "pyproject.toml", copy)
-        faults = run(chosen, copy)
-    print(f"{len(chosen) - len(faults)} of {len(chosen)} mutations killed "
+        faults = run(MUTATIONS, copy)
+    print(f"{len(MUTATIONS) - len(faults)} of {len(MUTATIONS)} mutations killed "
           f"in {time.perf_counter() - start:.1f} s")
     for fault in faults:
         print(f"FAIL: {fault}")

@@ -492,6 +492,10 @@ def degrees_reference(data: bytes, **filters) -> tuple[bytes, bytes, str]:
     )
 
 
+def _fmt(value) -> str:
+    return "" if value is None else f"{value:.6f}"
+
+
 def timing_reference(data: bytes, class_name: str, **filters) -> tuple[bytes, str]:
     """The timing.csv bytes and the stderr text of ``timing class_name`` on
     corpus ``data``: completion_oracle's instances of each kept thread, by
@@ -505,9 +509,9 @@ def timing_reference(data: bytes, class_name: str, **filters) -> tuple[bytes, st
         t0, t1 = thread.timestamps[thread.root], max(thread.timestamps)
         for (v, w), fraction in completion_oracle(g, cls, t0, t1):
             fractions.append(fraction)
-            rows.append(("instance", thread.thread_id, g.users[v], g.users[w], f"{fraction:.6f}"))
+            rows.append(("instance", thread.thread_id, g.users[v], g.users[w], _fmt(fraction)))
     if fractions:
-        rows.append(("median", "", "", "", f"{sorted(fractions)[(len(fractions) - 1) // 2]:.6f}"))
+        rows.append(("median", "", "", "", _fmt(sorted(fractions)[(len(fractions) - 1) // 2])))
     else:
         warnings.append(f"warning: no instances of {class_name} found, median undefined")
     header = ("kind", "thread_id", "v_user", "w_user", "fraction")
@@ -519,10 +523,6 @@ def timing_reference(data: bytes, class_name: str, **filters) -> tuple[bytes, st
 README_MACRO_METRICS = (
     "responsiveness_median_s", "reciprocity", "op_betweenness", "branching_factor"
 )
-
-
-def _fmt(value) -> str:
-    return "" if value is None else f"{value:.6f}"
 
 
 def macro_reference(data: bytes, branching_mode: str, **filters) -> tuple:
