@@ -1,18 +1,19 @@
 """Bin censused graphs by user count, fit a baseline null model, and score.
 
-``fit_null_model`` reduces one corpus to its per-bin class-count means and
-sigmas, so ``compare`` reads, bins and fits one census file at a time, and
-``z_scores`` compares the focus corpus's fit with the baseline's, the null
-model: a self-comparison gives equal columns and Z = 0. Per bin b and class
-i, with m_k the count in the k-th of N focus graphs:
+``fit_null_model`` folds one corpus into exact per-bin sums of each class
+count and of its square, so ``compare`` reads, bins and fits one census file
+at a time, and ``z_scores`` compares the focus corpus's fit with the
+baseline's, the null model: a self-comparison gives equal columns and Z = 0.
+Per bin b and class i, with m_k the count in the k-th of N focus graphs:
 
     Z_i = (1/N) * sum_k (m_k - mu_null) / sigma_null
         = (mean_focus - mu_null) / sigma_null
 
-Sigmas are population ones (no Bessel correction). Each mean and variance
-comes from exact integer sums, rounded once, so results are reproducible bit
-for bit in any row order. Cells with an empty bin on either side, or zero
-baseline variance, carry an explicit reason instead of a Z.
+Sigmas are population ones (no Bessel correction). Only ``z_scores`` rounds:
+each mean and variance once, and Z from the exact difference of the means,
+so results do not depend on row order and stay exact at any count size.
+Cells with an empty bin on either side, or zero baseline variance, carry an
+explicit reason instead of a Z.
 """
 
 from __future__ import annotations
@@ -101,35 +102,33 @@ def assign_bins(censuses: Iterable[MotifCensus], spec: BinSpec) -> BinnedCensuse
 
 
 class NullModel(NamedTuple):
-    """Per-bin, per-class mean and population sigma of one corpus; ``z_scores``
-    compares the focus corpus's fit with the baseline's, the null model."""
+    """Per-bin graph count and per-class exact sums of the counts of one corpus
+    and of their squares; ``z_scores`` compares two of them."""
 
     spec: BinSpec
     sizes: tuple[int, ...]  # graphs per bin
-    mu: tuple[tuple[float, ...] | None, ...]  # None marks an empty bin
-    sigma: tuple[tuple[float, ...] | None, ...]
+    sums: tuple[tuple[int, ...], ...]  # per bin, per class: sum of the counts
+    squares: tuple[tuple[int, ...], ...]  # per bin, per class: sum of their squares
 
 
 def fit_null_model(binned: BinnedCensuses) -> NullModel:
-    """Mean and population sigma of every class count, per bin.
-
-    Counts are integers, so each column's sum and sum of squares are exact
-    ints, and the variance (n * squares - total**2) / n**2 is exact until
-    int division rounds it once, as it does the mean. So the fit does not
-    depend on the order of the graphs.
-    """
-    mus, sigmas = [], []
+    """Fold each bin's censuses into exact int sums of every class count and of
+    its square, 0 in an empty bin, so row order cannot change them."""
+    width = len(get_class_table().names)
+    sums, squares = [], []
     for group in binned.groups:
-        n = len(group)
-        means, sds = [], []
-        for column in zip(*(c.counts for c in group)):
-            total = sum(column)
-            squares = sum(m * m for m in column)
-            means.append(total / n)
-            sds.append(math.sqrt((n * squares - total * total) / (n * n)))
-        mus.append(tuple(means) if n else None)
-        sigmas.append(tuple(sds) if n else None)
-    return NullModel(binned.spec, tuple(map(len, binned.groups)), tuple(mus), tuple(sigmas))
+        columns = tuple(zip(*(c.counts for c in group))) or ((),) * width
+        sums.append(tuple(map(sum, columns)))
+        squares.append(tuple(sum(m * m for m in column) for column in columns))
+    return NullModel(binned.spec, tuple(map(len, binned.groups)), tuple(sums), tuple(squares))
+
+
+def _moments(total: int, squares: int, k: int) -> tuple[float | None, ...]:
+    """Mean, population sigma and standard error of k counts from exact sums."""
+    if not k:
+        return (None,) * 3
+    sigma = math.sqrt((k * squares - total * total) / (k * k))
+    return total / k, sigma, sigma / math.sqrt(k)
 
 
 class ZCell(NamedTuple):
@@ -165,15 +164,13 @@ def z_scores(focus: NullModel, null: NullModel) -> ZReport:
     class_names = get_class_table().names
     cells = []
     for b, label in enumerate(focus.spec.labels):
-        n = focus.sizes[b]
-        m = null.sizes[b]
+        n, m = focus.sizes[b], null.sizes[b]
         if n == 0 and m == 0:
             continue  # bin empty in both corpora: nothing to report
         for i, name in enumerate(class_names):
             # (mean, sigma, standard error) of the baseline, then of the focus corpus
             (mu, sigma, se_null), (mean_f, sigma_f, se_f) = (
-                (s.mu[b][i], s.sigma[b][i], s.sigma[b][i] / math.sqrt(k)) if k else (None,) * 3
-                for s, k in ((null, m), (focus, n))
+                _moments(s.sums[b][i], s.squares[b][i], k) for s, k in ((null, m), (focus, n))
             )
             z = reason = None
             if m == 0:
@@ -183,7 +180,9 @@ def z_scores(focus: NullModel, null: NullModel) -> ZReport:
             elif sigma == 0.0:
                 reason = REASON_ZERO_VARIANCE
             else:
-                z = (mean_f - mu) / sigma
+                # (sum_f/n - sum_b/m) / sigma, from the exact difference of the means
+                sum_f, sum_b = focus.sums[b][i], null.sums[b][i]
+                z = (sum_f * m - sum_b * n) / n / math.sqrt(m * null.squares[b][i] - sum_b**2)
             cells.append(
                 ZCell(
                     bin_index=b,

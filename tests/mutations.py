@@ -64,19 +64,16 @@ MUTATIONS = (
         (f"{CLI_TESTS}::test_compare_matches_the_reference",),
     ),
     Mutation(
-        "compare: float squared deviations in row order", STATS,
-        "            total = sum(column)\n"
-        "            squares = sum(m * m for m in column)\n"
-        "            means.append(total / n)\n"
-        "            sds.append(math.sqrt((n * squares - total * total) / (n * n)))\n",
-        "            mean = float(sum(column)) / n\n"
-        "            squares = 0.0\n"
-        "            for count in column:\n"
-        "                deviation = count - mean\n"
-        "                squares += deviation * deviation\n"
-        "            means.append(mean)\n"
-        "            sds.append(math.sqrt(squares / n))\n",
-        ("tests/test_expression_stats.py::TestZScores::test_fit_does_not_depend_on_row_order",),
+        "compare: variance from the rounded mean square and mean", STATS,
+        "sigma = math.sqrt((k * squares - total * total) / (k * k))",
+        "sigma = math.sqrt(squares / k - (total / k) ** 2)",
+        ("tests/test_expression_stats.py::TestZScores::test_matches_an_exact_rational_oracle",),
+    ),
+    Mutation(
+        "compare: Z from the rounded means", STATS,
+        "z = (sum_f * m - sum_b * n) / n / math.sqrt(m * null.squares[b][i] - sum_b**2)",
+        "z = (sum_f / n - sum_b / m) / sigma",
+        (f"{CLI_TESTS}::TestCompareCommand::test_z_is_exact_past_2_53",),
     ),
     Mutation(
         "macro: reciprocity and op_betweenness columns swapped", MACRO,

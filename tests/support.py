@@ -567,9 +567,9 @@ def compare_reference(
     ``compare`` on two census files, from the README's rules. Rows are re-binned
     by n_users into ``bins``, (lo, hi) pairs. A bin's mean and population
     variance of each class count are Fractions, each rounded once, and
-    Z = (mean_focus - mu_null) / sigma_null. A class is rare unless a mean on
-    either side is above ``rarity_threshold``; then |Z| > 1 is over or under,
-    and any other Z equal."""
+    Z = (mean_focus - mu_null) / sigma_null is exact_z of those Fractions. A
+    class is rare unless a mean on either side is above ``rarity_threshold``;
+    then |Z| > 1 is over or under, and any other Z equal."""
     warnings, unbinned, fits = [], [], []
     for side, data in (("focus", focus), ("baseline", baseline)):
         header, *rows = csv.reader(io.StringIO(data.decode(), newline=""))
@@ -587,13 +587,13 @@ def compare_reference(
     cells = []  # bin, class, M, mu, sigma, se, N, mean, sigma, se, Z, reason
     for (lo, hi), (n, focus_stats), (m, null_stats) in zip(bins, *fits):
         for i, name in enumerate(names if m or n else ()):
-            mu, sigma, se = null_stats[i] if m else (None,) * 3
-            mean, *spread = focus_stats[i] if n else (None,) * 3
+            mu, sigma, se = rounded_moments(*null_stats[i], m) if m else (None,) * 3
+            mean, *spread = rounded_moments(*focus_stats[i], n) if n else (None,) * 3
             reason = (
                 "empty baseline bin" if not m else "empty focus bin" if not n
                 else "zero baseline variance" if sigma == 0 else None
             )
-            z = None if reason else (mean - mu) / sigma
+            z = None if reason else exact_z(focus_stats[i][0], *null_stats[i])
             cells.append([f"{lo}-{hi}", name, m, mu, sigma, se, n, mean, *spread, z, reason])
     populated = {
         cell[1] for cell in cells for mean in (cell[3], cell[7])
@@ -625,18 +625,31 @@ def compare_reference(
     )
 
 
-def exact_moments(group) -> list[tuple[float, float, float]]:
-    """The mean, population sigma and standard error of each count column of
-    a group of census rows (ints or their digits). The mean is a Fraction and
-    the variance the Fraction mean of squared deviations from it, each
-    rounded once."""
+def exact_moments(group) -> list[tuple[Fraction, Fraction]]:
+    """The mean and population variance of each count column of a group of
+    census rows (ints or their digits), as exact Fractions: the variance is
+    the mean of squared deviations from the mean."""
     k = len(group)
     stats = []
     for column in zip(*(map(int, counts) for counts in group)):
         mean = Fraction(sum(column), k)
-        sigma = math.sqrt(float(sum((m - mean) ** 2 for m in column) / k))
-        stats.append((float(mean), sigma, sigma / math.sqrt(k)))
+        stats.append((mean, sum((m - mean) ** 2 for m in column) / k))
     return stats
+
+
+def rounded_moments(mean: Fraction, variance: Fraction, k: int) -> tuple[float, float, float]:
+    """The mean, population sigma and standard error sigma / sqrt(k) of a
+    column of k counts, from its exact mean and variance, each rounded once."""
+    sigma = math.sqrt(float(variance))
+    return float(mean), sigma, sigma / math.sqrt(k)
+
+
+def exact_z(mean: Fraction, mu: Fraction, variance: Fraction) -> float:
+    """Z = (mean - mu) / sqrt(variance), from the exact difference of the
+    means: the sign of that difference and the root of the exact Z**2,
+    rounded once."""
+    difference = mean - mu
+    return math.copysign(math.sqrt(difference * difference / variance), difference)
 
 
 def completion_oracle(g: UserGraph, cls: AnchoredTriadClass, t0: int, t1: int) -> list:

@@ -82,12 +82,29 @@ def fifo_of(source, fifo):
     assert code == 0
 
 
-def write_census(path, n_users, source="focus"):
-    """A census file with one valid row per user count, its triads in one class."""
+def census_bytes(n_users, source="focus", counts=None):
+    """A census file with one row per user count: its triads in one class, or
+    in the classes that the row's tuple of ``counts`` gives."""
     header = ",".join(census_header()).encode()
-    lines = [_census_line(n, i % 36, source) for i, n in enumerate(n_users)]
-    path.write_bytes(b"\n".join([header, *lines]) + b"\n")
+    lines = [
+        _census_line(n, i % 36, source) if counts is None
+        else ",".join(map(str, [f"t{n}", source, n, "", *counts[i]])).encode()
+        for i, n in enumerate(n_users)
+    ]
+    return b"\n".join([header, *lines]) + b"\n"
+
+
+def write_census(path, n_users, source="focus", counts=None):
+    """Write census_bytes to ``path``."""
+    path.write_bytes(census_bytes(n_users, source, counts))
     return path
+
+
+def short_of_all_003(n_users, *shortfalls):
+    """Census counts of graphs of ``n_users`` users whose triads are all in
+    class 003 but for each row's shortfall, which is in class 012-a."""
+    total = math.comb(n_users - 1, 2)
+    return [(total - short, short, *[0] * 34) for short in shortfalls]
 
 
 def filler_thread(thread_id, source="focus", n_replies=5, author="root"):
@@ -668,6 +685,27 @@ class TestCompareCommand:
 
         get_class_table()  # built once per process, outside the measured runs
         assert peak(big) < 1.25 * peak(small)
+
+    def test_z_is_exact_past_2_53(self, tmp_path):
+        # The baseline's 003 counts are K, K and K - 3 with K = C(2**30 - 1, 2),
+        # about 2**59, and the focus's is K - 3: Z = (K - 3 - (K - 1)) / sqrt(2).
+        # Rounded first, the two means are one float, and Z would read 0.
+        n = 2**30
+        baseline = write_census(
+            tmp_path / "base.csv", [n] * 3, "baseline", short_of_all_003(n, 0, 0, 3)
+        )
+        focus = write_census(tmp_path / "foc.csv", [n], "focus", short_of_all_003(n, 3))
+        out = tmp_path / "cmp"
+        argv = ["compare", "--focus", str(focus), "--baseline", str(baseline),
+                "--out", str(out), "--bins", "1-2000000000"]
+        assert main(argv) == 0
+        with open(out / "compare.csv", newline="") as fh:
+            rows = {row["class"]: row for row in csv.DictReader(fh)}
+        assert [rows["003"][k] for k in ("sigma_null", "z", "label")] == [
+            "1.414214", "-1.414214", "under"
+        ]
+        # The shortfall's own class mirrors it, but its counts of 0 to 3 are rare.
+        assert [rows["012-a"][k] for k in ("z", "label")] == ["1.414214", "rare"]
 
     def test_thread_id_longer_than_a_csv_field_round_trips(self, tmp_path):
         # 200,000 characters is over the csv module's default field limit.
@@ -2041,44 +2079,53 @@ def _bin_ranges(steps):
     return tuple(ranges)
 
 
-def z_of_one_corpora() -> dict[str, bytes]:
-    """A focus and a baseline corpus whose 1-5 bin has Z exactly 1 for class
+def reference_census(corpus: bytes) -> bytes:
+    """support.census_reference's census file of a corpus, every thread kept."""
+    return census_reference(corpus, min_extra_posts=0)[0]
+
+
+def z_of_one_censuses() -> dict[str, bytes]:
+    """A focus and a baseline census whose 1-5 bin has Z exactly 1 for class
     021U-a: the baseline counts 1 and 0 of it (mean and sigma 1/2), the focus
     counts 1."""
     star = [("p0", None, "a", 0), ("p1", "p0", "b", 1), ("p2", "p0", "c", 2)]
     chain = [("p0", None, "a", 0), ("p1", "p0", "b", 1), ("p2", "p1", "c", 2)]
     return {
-        source: b"\n".join(
+        source: reference_census(b"\n".join(
             to_json_line(make_thread(f"t{i}", source, posts)).encode()
             for i, posts in enumerate(threads)
-        )
+        ))
         for source, threads in (("focus", [star]), ("baseline", [star, chain]))
     }
 
 
 @_FUZZ
 @given(
-    focus=_reference_corpora,
-    baseline=_reference_corpora,
+    focus=_reference_corpora.map(reference_census),
+    baseline=_reference_corpora.map(reference_census),
     bins=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=5).map(
         _bin_ranges
     ),
     rarity_threshold=st.one_of(st.sampled_from([0.0, 1.0, 10.0]), st.floats(0, 50)),
 )
-@example(**z_of_one_corpora(), bins=((1, 5),), rarity_threshold=0.0)
+@example(**z_of_one_censuses(), bins=((1, 5),), rarity_threshold=0.0)
 @example(
-    focus=hostile_corpus_bytes(), baseline=special_corpus_bytes(), bins=README_BINS[:2],
+    focus=reference_census(hostile_corpus_bytes()),
+    baseline=reference_census(special_corpus_bytes()), bins=README_BINS[:2],
     rarity_threshold=10.0,
+)
+# Graphs of 2**40 users: the means of about 2**79 are 2**27 apart per float.
+@example(
+    focus=census_bytes([2**40] * 2, "focus", short_of_all_003(2**40, 4, 9)),
+    baseline=census_bytes([2**40] * 4, "baseline", short_of_all_003(2**40, 0, 1, 5, 2)),
+    bins=((3, 2**41),), rarity_threshold=10.0,
 )
 def test_compare_matches_the_reference(tmp_path, capsys, focus, baseline, bins, rarity_threshold):
     """compare.csv, expression_summary.csv and stderr equal
-    support.compare_reference's byte for byte, on the census files that
-    support.census_reference makes of two corpora."""
-    censuses = []
-    for side, data in (("focus", focus), ("baseline", baseline)):
-        census, _ = census_reference(data, min_extra_posts=0)
+    support.compare_reference's byte for byte, on two census files, most of
+    them those that support.census_reference makes of two corpora."""
+    for side, census in (("focus", focus), ("baseline", baseline)):
         (tmp_path / f"{side}.csv").write_bytes(census)
-        censuses.append(census)
     out = tmp_path / "out"
     argv = [
         "compare", "--focus", str(tmp_path / "focus.csv"),
@@ -2092,7 +2139,7 @@ def test_compare_matches_the_reference(tmp_path, capsys, focus, baseline, bins, 
         (out / "expression_summary.csv").read_bytes(),
         capsys.readouterr().err,
     )
-    assert got == compare_reference(*censuses, bins, rarity_threshold)
+    assert got == compare_reference(focus, baseline, bins, rarity_threshold)
 
 
 def test_nesting_limit_holds_at_any_jobs(tmp_path, monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from threadmotifs.expression_stats import (
 )
 from threadmotifs.motif_census import MotifCensus, get_class_table
 
-from support import exact_moments
+from support import exact_moments, rounded_moments
 
 N_CLASSES = 36
 
@@ -44,6 +45,26 @@ def random_sample(rng, size=None):
             **{f"c{i}": rng.randint(0, rng.choice((2, 40, 900))) for i in range(N_CLASSES)},
         )
         for _ in range(size or rng.randint(1, 250))
+    ]
+
+
+# One bin for the graphs of up to 2**40 users.
+LARGE_BINS = BinSpec(((1, 2**40),))
+
+
+def large_sample(rng, n_users):
+    """Up to 60 censuses of ``n_users`` users, each class count either drawn up
+    to 900 or a few below C(n_users - 1, 2), so that two means of the big
+    counts differ by far less than a float's spacing at their size."""
+    big = math.comb(n_users - 1, 2)
+    kinds = [rng.random() < 0.5 for _ in range(N_CLASSES)]
+    return [
+        census_of(
+            n_users,
+            **{f"c{i}": big - rng.randint(0, 6) if near else rng.randint(0, 900)
+               for i, near in enumerate(kinds)},
+        )
+        for _ in range(rng.randint(1, 60))
     ]
 
 
@@ -100,20 +121,21 @@ class TestNullModel:
         binned = assign_bins([census_of(3, c0=2)] * 3, BinSpec())
         null = fit_null_model(binned)
         assert null.sizes[0] == 3
-        assert null.mu[0][0] == 2.0
-        assert null.sigma[0][0] == 0.0
+        assert (null.sums[0][0], null.squares[0][0]) == (6, 12)
+        assert all(type(s) is int for row in (*null.sums, *null.squares) for s in row)
 
     def test_population_sigma(self):
         binned = assign_bins([census_of(3, c0=0), census_of(3, c0=4)], BinSpec())
         null = fit_null_model(binned)
+        assert (null.sums[0][0], null.squares[0][0]) == (4, 16)
         # population sigma: sqrt(((0-2)^2 + (4-2)^2) / 2) = 2
-        assert null.mu[0][0] == 2.0
-        assert null.sigma[0][0] == 2.0
+        cell = z_scores(null, null).cells[0]
+        assert (cell.mu_null, cell.sigma_null) == (2.0, 2.0)
 
     def test_empty_bins_marked(self):
         null = fit_null_model(assign_bins([census_of(3)], BinSpec()))
         assert null.sizes[1] == 0
-        assert null.mu[1] is None
+        assert null.sums[1] == null.squares[1] == (0,) * N_CLASSES
 
 
 class TestZScores:
@@ -244,23 +266,37 @@ class TestZScores:
         assert all(c.reason == REASON_ZERO_VARIANCE for c in report.cells)
 
     def test_matches_an_exact_rational_oracle(self):
+        """Means, sigmas and standard errors equal the exact ones rounded, and
+        Z has the exact Z's sign and its square within 1e-12, also where the
+        counts near C(n - 1, 2) of graphs of up to 2**40 users put the means
+        far past 2**53."""
         rng = random.Random(2024)
+        cases = [(BinSpec(), random_sample(rng), random_sample(rng)) for _ in range(30)]
         for _ in range(30):
-            baseline = assign_bins(random_sample(rng), BinSpec())
-            focus = assign_bins(random_sample(rng), BinSpec())
+            n_users = rng.randint(3, 2**40)
+            cases.append((LARGE_BINS, large_sample(rng, n_users), large_sample(rng, n_users)))
+        for spec, baseline_sample, focus_sample in cases:
+            baseline, focus = assign_bins(baseline_sample, spec), assign_bins(focus_sample, spec)
             report = z_scores(fit_null_model(focus), fit_null_model(baseline))
-            expected = {}
+            exact = {}
             for side, binned in (("null", baseline), ("focus", focus)):
                 for b, group in enumerate(binned.groups):
-                    for i, stats in enumerate(exact_moments([c.counts for c in group])):
-                        expected[side, b, i] = stats
+                    for i, moments in enumerate(exact_moments([c.counts for c in group])):
+                        exact[side, b, i] = (*moments, len(group))
             for cell in report.cells:
                 i = CLASS_NAMES.index(cell.class_name)
-                for side, got in (
-                    ("null", (cell.mu_null, cell.sigma_null, cell.se_null)),
-                    ("focus", (cell.mean_focus, cell.sigma_focus, cell.se_focus)),
+                exact_null = exact.get(("null", cell.bin_index, i))
+                exact_focus = exact.get(("focus", cell.bin_index, i))
+                for moments, got in (
+                    (exact_null, (cell.mu_null, cell.sigma_null, cell.se_null)),
+                    (exact_focus, (cell.mean_focus, cell.sigma_focus, cell.se_focus)),
                 ):
-                    assert got == expected.get((side, cell.bin_index, i), (None,) * 3)
+                    assert got == (rounded_moments(*moments) if moments else (None,) * 3)
+                if cell.z is not None:
+                    difference = exact_focus[0] - exact_null[0]
+                    assert (cell.z > 0) - (cell.z < 0) == (difference > 0) - (difference < 0)
+                    z_squared = difference * difference / exact_null[1]
+                    assert cell.z * cell.z == pytest.approx(float(z_squared), rel=1e-12, abs=0)
 
     def test_fit_does_not_depend_on_row_order(self):
         rng = random.Random(7)

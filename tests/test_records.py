@@ -24,7 +24,7 @@ FIELDS = {
     tm.MotifCensus: "counts n_users",
     tm.BinSpec: "ranges",
     tm.BinnedCensuses: "spec groups unbinned",
-    tm.NullModel: "spec sizes mu sigma",
+    tm.NullModel: "spec sizes sums squares",
     tm.ZCell: (
         "bin_index bin_label class_name m_baseline mu_null sigma_null se_null n_focus "
         "mean_focus sigma_focus se_focus z reason"
