@@ -19,7 +19,6 @@ from .expression_stats import (
     ExpressionReport,
     NullModel,
     ZCell,
-    ZReport,
     assign_bins,
     classify_expression,
     fit_null_model,

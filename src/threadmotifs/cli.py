@@ -425,8 +425,8 @@ def cmd_compare(args: Namespace) -> Iterator[tuple]:
     for side, unbinned in (("focus", focus_unbinned), ("baseline", baseline_unbinned)):
         if unbinned:
             _diag(f"warning: {unbinned} {side} graph(s) outside every bin left unbinned")
-    report = z_scores(focus, null)
-    expression = classify_expression(report, args.rarity_threshold)
+    cells = z_scores(focus, null)
+    expression = classify_expression(cells, args.rarity_threshold)
     rows = [
         (
             cell.bin_label,
@@ -438,12 +438,11 @@ def cmd_compare(args: Namespace) -> Iterator[tuple]:
             label,
             cell.reason or "",
         )
-        for cell, label in zip(report.cells, expression.cell_labels)
+        for cell, label in zip(cells, expression.cell_labels)
     ]
     yield "compare.csv", COMPARE_HEADER, rows
     summary_rows = [
-        (name, "+".join(sorted(expression.class_labels[name])))
-        for name in report.class_names
+        (name, "+".join(sorted(labels))) for name, labels in expression.class_labels.items()
     ]
     yield "expression_summary.csv", ("class", "labels"), summary_rows
 

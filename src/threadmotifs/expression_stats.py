@@ -134,7 +134,6 @@ def _moments(total: int, squares: int, k: int) -> tuple[float | None, ...]:
 class ZCell(NamedTuple):
     """Null-model comparison of one class in one bin."""
 
-    bin_index: int
     bin_label: str
     class_name: str
     m_baseline: int
@@ -149,16 +148,10 @@ class ZCell(NamedTuple):
     reason: str | None  # set exactly when z is None
 
 
-class ZReport(NamedTuple):
-    """All cells for the bins populated in either corpus, in bin/class order."""
-
-    class_names: tuple[str, ...]
-    cells: tuple[ZCell, ...]
-
-
-def z_scores(focus: NullModel, null: NullModel) -> ZReport:
-    """Standardize the focus corpus's fit against the baseline's, the null model;
-    count column i is the class table's class i, whose name labels its cells."""
+def z_scores(focus: NullModel, null: NullModel) -> tuple[ZCell, ...]:
+    """Standardize the focus corpus's fit against the baseline's, the null model:
+    one cell per class of each bin populated on either side, in bin then class
+    order. Count column i is the class table's class i, which names its cells."""
     if focus.spec != null.spec:
         raise ValueError("focus binning and null model use different bin specs")
     class_names = get_class_table().names
@@ -185,7 +178,6 @@ def z_scores(focus: NullModel, null: NullModel) -> ZReport:
                 z = (sum_f * m - sum_b * n) / n / math.sqrt(m * null.squares[b][i] - sum_b**2)
             cells.append(
                 ZCell(
-                    bin_index=b,
                     bin_label=label,
                     class_name=name,
                     m_baseline=m,
@@ -200,7 +192,7 @@ def z_scores(focus: NullModel, null: NullModel) -> ZReport:
                     reason=reason,
                 )
             )
-    return ZReport(class_names, tuple(cells))
+    return tuple(cells)
 
 
 LABEL_RARE = "rare"
@@ -210,33 +202,33 @@ LABEL_EQUAL = "equal"
 
 
 class ExpressionReport(NamedTuple):
-    """Per-cell labels and a per-class summary for a Z-report.
+    """Per-cell labels, and a summary for every class of the class table.
 
     A class is rare when no bin's mean count (in either corpus) clears the
-    rarity threshold; its cells are all labeled rare. Otherwise each defined
-    cell is over (Z > 1), under (Z < -1), or equal, and the class summary is
-    the set of over/under labels seen in any bin, or {equal} if none.
-    Undefined non-rare cells carry an empty label.
+    rarity threshold; its cells are all labeled rare, and so is a class with
+    no cell. Otherwise each defined cell is over (Z > 1), under (Z < -1), or
+    equal, and the class summary is the set of over/under labels seen in any
+    bin, or {equal} if none. Undefined non-rare cells carry an empty label.
     """
 
-    cell_labels: tuple[str, ...]  # parallel to the Z-report's cells
-    class_labels: Mapping[str, frozenset[str]]
+    cell_labels: tuple[str, ...]  # parallel to the cells of z_scores
+    class_labels: Mapping[str, frozenset[str]]  # in class table order
 
 
 def classify_expression(
-    report: ZReport, rarity_threshold: float = DEFAULT_RARITY_THRESHOLD
+    cells: tuple[ZCell, ...], rarity_threshold: float = DEFAULT_RARITY_THRESHOLD
 ) -> ExpressionReport:
-    """Apply the rarity and |Z| > 1 rules to a computed Z-report."""
+    """Apply the rarity and |Z| > 1 rules to the cells of ``z_scores``."""
     populated: set[str] = set()
-    for cell in report.cells:
+    for cell in cells:
         for mean in (cell.mu_null, cell.mean_focus):
             if mean is not None and mean > rarity_threshold:
                 populated.add(cell.class_name)
     class_labels: dict[str, set[str]] = {
-        name: set() if name in populated else {LABEL_RARE} for name in report.class_names
+        name: set() if name in populated else {LABEL_RARE} for name in get_class_table().names
     }
     cell_labels = []
-    for cell in report.cells:
+    for cell in cells:
         if cell.class_name not in populated:
             label = LABEL_RARE
         elif cell.z is None:

@@ -3,13 +3,15 @@
 Each entry of MUTATIONS changes one place in one file of src/ and names the
 tests that must fail on that change. The runner copies src/, tests/ and
 pyproject.toml into a temporary directory, applies one edit at a time there,
-and runs the named tests with ``pytest -x`` inside the copy. pytest must run
+and runs the named tests with ``pytest -x`` inside the copy. Before the
+first edit it runs every named test once on the unedited copy. pytest must run
 inside the copy: pyproject.toml's ``pythonpath`` puts the checkout's own
 ``src`` ahead of PYTHONPATH, so a run pointed at another tree by PYTHONPATH
 alone imports this one.
 
-The run fails if an entry's old text does not occur exactly once in its
-file (the code has moved, so the entry needs updating), or if the named
+The run fails if a named test fails on the unedited copy (it would count
+every edit as killed), if an entry's old text does not occur exactly once in
+its file (the code has moved, so the entry needs updating), or if the named
 tests pass on an edit (the mutation survived). Run it from anywhere:
 
     python tests/mutations.py
@@ -74,6 +76,24 @@ MUTATIONS = (
         "z = (sum_f * m - sum_b * n) / n / math.sqrt(m * null.squares[b][i] - sum_b**2)",
         "z = (sum_f / n - sum_b / m) / sigma",
         (f"{CLI_TESTS}::TestCompareCommand::test_z_is_exact_past_2_53",),
+    ),
+    Mutation(
+        "compare: summary over the cells' classes", STATS,
+        "for name in get_class_table().names",
+        "for name in dict.fromkeys(cell.class_name for cell in cells)",
+        (
+            "tests/test_expression_stats.py::TestClassifyExpression"
+            "::test_summary_covers_every_table_class_in_table_order",
+            f"{CLI_TESTS}::test_compare_matches_the_reference",
+            f"{CLI_TESTS}::TestCompareCommand"
+            "::test_whole_stderr_when_both_warnings_fire_on_both_sides",
+        ),
+    ),
+    Mutation(
+        "compare: summary rows in name order", CLI,
+        "expression.class_labels.items()",
+        "sorted(expression.class_labels.items())",
+        (f"{CLI_TESTS}::test_compare_matches_the_reference",),
     ),
     Mutation(
         "macro: reciprocity and op_betweenness columns swapped", MACRO,
@@ -186,13 +206,39 @@ MUTATIONS = (
 )
 
 
-def run(mutations, copy: Path) -> list[str]:
-    """Apply each mutation alone in ``copy`` and run its tests; return the faults."""
-    faults = []
+def run_pytest(copy: Path, tests) -> subprocess.CompletedProcess:
+    """Run ``tests`` with ``pytest -x`` inside ``copy``."""
     # No bytecode: an edit and its undo within one second, of the same size,
     # would let the next run import the other's cached module.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+    finally:
+        shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
+
+
+def baseline(mutations, copy: Path) -> list[str]:
+    """Run every named test once on the unedited ``copy``; return the faults.
+
+    A named test that fails without an edit would count every mutation
+    that names it as killed, so all of them must pass first."""
+    start = time.perf_counter()
+    result = run_pytest(copy, dict.fromkeys(t for m in mutations for t in m.tests))
+    print(f"baseline: pytest exited {result.returncode} on the unedited tree "
+          f"({time.perf_counter() - start:.1f} s)", flush=True)
+    if result.returncode != 0:
+        print(result.stdout[-3000:], flush=True)
+        return [f"baseline: the named tests exit {result.returncode} without an edit"]
+    return []
+
+
+def run(mutations, copy: Path) -> list[str]:
+    """Apply each mutation alone in ``copy`` and run its tests; return the faults."""
+    faults = []
     for m in mutations:
         path = copy / m.path
         text = path.read_text(encoding="utf-8")
@@ -204,13 +250,9 @@ def run(mutations, copy: Path) -> list[str]:
         path.write_text(text.replace(m.old, m.new), encoding="utf-8")
         start = time.perf_counter()
         try:
-            result = subprocess.run(
-                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *m.tests],
-                cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-            )
+            result = run_pytest(copy, m.tests)
         finally:
             path.write_text(text, encoding="utf-8")
-            shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
         # pytest exits 1 when a test failed; 0 means every test passed, and
         # anything else (a usage error, no test collected) is no verdict.
         verdict = {0: "SURVIVED", 1: "killed"}.get(result.returncode, "ERROR")
@@ -230,9 +272,11 @@ def main() -> int:
         for part in ("src", "tests"):
             shutil.copytree(root / part, copy / part, ignore=ignore)
         shutil.copy2(root / "pyproject.toml", copy)
-        faults = run(MUTATIONS, copy)
-    print(f"{len(MUTATIONS) - len(faults)} of {len(MUTATIONS)} mutations killed "
-          f"in {time.perf_counter() - start:.1f} s")
+        faults = baseline(MUTATIONS, copy)
+        if not faults:
+            faults = run(MUTATIONS, copy)
+            print(f"{len(MUTATIONS) - len(faults)} of {len(MUTATIONS)} mutations killed "
+                  f"in {time.perf_counter() - start:.1f} s")
     for fault in faults:
         print(f"FAIL: {fault}")
     return 1 if faults else 0

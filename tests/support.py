@@ -17,6 +17,7 @@ from pathlib import Path
 
 import threadmotifs
 from threadmotifs.errors import CorpusParseError, ThreadValidationError
+from threadmotifs.expression_stats import REASON_ZERO_VARIANCE, ZCell
 from threadmotifs.graphs import UserGraph
 from threadmotifs.motif_census import (
     DYAD_CODES, AnchoredTriadClass, ClassTable, TriadConfig, census_naive
@@ -650,6 +651,30 @@ def exact_z(mean: Fraction, mu: Fraction, variance: Fraction) -> float:
     rounded once."""
     difference = mean - mu
     return math.copysign(math.sqrt(difference * difference / variance), difference)
+
+
+def hand_cells(rows) -> tuple[ZCell, ...]:
+    """Cells as ``z_scores`` returns them, from (bin_label, class_name,
+    mu_null, mean_focus, z) tuples. The other fields are fixed: 10 graphs,
+    sigma 1 and standard error 0.1 on each side, and a cell without a Z
+    has zero baseline variance."""
+    return tuple(
+        ZCell(
+            bin_label=bin_label,
+            class_name=name,
+            m_baseline=10,
+            mu_null=mu,
+            sigma_null=1.0,
+            se_null=0.1,
+            n_focus=10,
+            mean_focus=mean_focus,
+            sigma_focus=1.0,
+            se_focus=0.1,
+            z=z,
+            reason=None if z is not None else REASON_ZERO_VARIANCE,
+        )
+        for bin_label, name, mu, mean_focus, z in rows
+    )
 
 
 def completion_oracle(g: UserGraph, cls: AnchoredTriadClass, t0: int, t1: int) -> list:

@@ -37,12 +37,12 @@ from support import (
     betweenness_oracle,
     class_of,
     fig2_thread,
+    hand_cells,
     make_thread,
     random_user_graph,
     synth_corpus,
     to_json_line,
 )
-from test_expression_stats import hand_report
 
 TABLE = get_class_table()
 
@@ -221,24 +221,24 @@ def test_07_planted_signal_recovery(tmp_path):
 
 def test_08_expression_thresholds():
     with criterion(8, "expression thresholds"):
-        # Hand-built report: class "r" never clears the rarity threshold;
-        # "o"/"u" cross |Z|=1 in one bin; "e" stays inside the band.
-        report = hand_report(
+        # Hand-built cells: class 003 never clears the rarity threshold;
+        # 012-a and 012-b cross |Z|=1 in one bin; 012-c stays inside the band.
+        cells = hand_cells(
             [
-                ("1-5", "r", 9.0, 10.0, 8.0),
-                ("6-10", "r", 3.0, 1.0, -6.0),
-                ("1-5", "o", 12.0, 14.0, 2.0),
-                ("6-10", "o", 15.0, 15.5, 0.5),
-                ("1-5", "u", 12.0, 9.0, -3.0),
-                ("1-5", "e", 25.0, 25.5, 0.5),
-                ("6-10", "e", 30.0, 29.5, -0.5),
+                ("1-5", "003", 9.0, 10.0, 8.0),
+                ("6-10", "003", 3.0, 1.0, -6.0),
+                ("1-5", "012-a", 12.0, 14.0, 2.0),
+                ("6-10", "012-a", 15.0, 15.5, 0.5),
+                ("1-5", "012-b", 12.0, 9.0, -3.0),
+                ("1-5", "012-c", 25.0, 25.5, 0.5),
+                ("6-10", "012-c", 30.0, 29.5, -0.5),
             ]
         )
-        labeled = classify_expression(report, rarity_threshold=10.0)
-        assert labeled.class_labels["r"] == frozenset({"rare"})
-        assert labeled.class_labels["o"] == frozenset({"over"})
-        assert labeled.class_labels["u"] == frozenset({"under"})
-        assert labeled.class_labels["e"] == frozenset({"equal"})
+        labeled = classify_expression(cells, rarity_threshold=10.0)
+        assert labeled.class_labels["003"] == frozenset({"rare"})
+        assert labeled.class_labels["012-a"] == frozenset({"over"})
+        assert labeled.class_labels["012-b"] == frozenset({"under"})
+        assert labeled.class_labels["012-c"] == frozenset({"equal"})
 
 
 def test_09_filtering_fixture():

@@ -12,8 +12,6 @@ from threadmotifs.expression_stats import (
     REASON_EMPTY_BASELINE,
     REASON_EMPTY_FOCUS,
     REASON_ZERO_VARIANCE,
-    ZCell,
-    ZReport,
     assign_bins,
     classify_expression,
     fit_null_model,
@@ -21,7 +19,7 @@ from threadmotifs.expression_stats import (
 )
 from threadmotifs.motif_census import MotifCensus, get_class_table
 
-from support import exact_moments, rounded_moments
+from support import exact_moments, hand_cells, rounded_moments
 
 N_CLASSES = 36
 
@@ -129,7 +127,7 @@ class TestNullModel:
         null = fit_null_model(binned)
         assert (null.sums[0][0], null.squares[0][0]) == (4, 16)
         # population sigma: sqrt(((0-2)^2 + (4-2)^2) / 2) = 2
-        cell = z_scores(null, null).cells[0]
+        cell = z_scores(null, null)[0]
         assert (cell.mu_null, cell.sigma_null) == (2.0, 2.0)
 
     def test_empty_bins_marked(self):
@@ -142,8 +140,8 @@ class TestZScores:
     def test_direct_formula(self):
         baseline = assign_bins([census_of(3, c0=0), census_of(3, c0=4)], BinSpec())
         focus = assign_bins([census_of(3, c0=4), census_of(3, c0=8)], BinSpec())
-        report = z_scores(fit_null_model(focus), fit_null_model(baseline))
-        cell = next(c for c in report.cells if c.class_name == CLASS_NAMES[0])
+        cells = z_scores(fit_null_model(focus), fit_null_model(baseline))
+        cell = next(c for c in cells if c.class_name == CLASS_NAMES[0])
         assert cell.z == pytest.approx((6 - 2) / 2, abs=1e-12)
         assert cell.mean_focus == 6.0
         assert cell.m_baseline == 2
@@ -154,10 +152,10 @@ class TestZScores:
 
     def test_cells_name_the_table_classes_in_column_order(self):
         binned = assign_bins([census_of(3, c0=1), census_of(7, c5=2)], BinSpec())
-        report = z_scores(fit_null_model(binned), fit_null_model(binned))
-        assert report.class_names == CLASS_NAMES
-        assert [c.class_name for c in report.cells] == [*CLASS_NAMES, *CLASS_NAMES]
-        planted = [(c.bin_label, c.class_name) for c in report.cells if c.mean_focus]
+        cells = z_scores(fit_null_model(binned), fit_null_model(binned))
+        assert type(cells) is tuple
+        assert [c.class_name for c in cells] == [*CLASS_NAMES, *CLASS_NAMES]
+        planted = [(c.bin_label, c.class_name) for c in cells if c.mean_focus]
         assert planted == [("1-5", CLASS_NAMES[0]), ("6-10", CLASS_NAMES[5])]
 
     def test_self_comparison_is_zero(self):
@@ -167,8 +165,8 @@ class TestZScores:
             for _ in range(120)
         ]
         binned = assign_bins(censuses, BinSpec())
-        report = z_scores(fit_null_model(binned), fit_null_model(binned))
-        for cell in report.cells:
+        cells = z_scores(fit_null_model(binned), fit_null_model(binned))
+        for cell in cells:
             if cell.reason == REASON_ZERO_VARIANCE:
                 assert cell.z is None
             else:
@@ -177,26 +175,26 @@ class TestZScores:
     def test_zero_variance_reason(self):
         baseline = assign_bins([census_of(3, c0=2)] * 2, BinSpec())
         focus = assign_bins([census_of(3, c0=5)], BinSpec())
-        report = z_scores(fit_null_model(focus), fit_null_model(baseline))
-        cell = report.cells[0]
+        cells = z_scores(fit_null_model(focus), fit_null_model(baseline))
+        cell = cells[0]
         assert cell.z is None
         assert cell.reason == REASON_ZERO_VARIANCE
 
     def test_empty_side_reasons(self):
         baseline = assign_bins([census_of(3, c0=1), census_of(3, c0=3)], BinSpec())
         focus = assign_bins([census_of(8, c0=1), census_of(8, c0=2)], BinSpec())
-        report = z_scores(fit_null_model(focus), fit_null_model(baseline))
-        assert {c.reason for c in report.cells if c.bin_label == "1-5"} == {
+        cells = z_scores(fit_null_model(focus), fit_null_model(baseline))
+        assert {c.reason for c in cells if c.bin_label == "1-5"} == {
             REASON_EMPTY_FOCUS
         }
-        assert {c.reason for c in report.cells if c.bin_label == "6-10"} == {
+        assert {c.reason for c in cells if c.bin_label == "6-10"} == {
             REASON_EMPTY_BASELINE
         }
 
     def test_bins_empty_in_both_corpora_are_omitted(self):
         baseline = assign_bins([census_of(3, c0=1), census_of(3, c0=3)], BinSpec())
-        report = z_scores(fit_null_model(baseline), fit_null_model(baseline))
-        assert {c.bin_label for c in report.cells} == {"1-5"}
+        cells = z_scores(fit_null_model(baseline), fit_null_model(baseline))
+        assert {c.bin_label for c in cells} == {"1-5"}
 
     def test_mismatched_bin_specs_rejected(self):
         small = BinSpec(((1, 10),))
@@ -229,8 +227,8 @@ class TestZScores:
             fit_null_model(assign_bins(shifted(foc, 7), BinSpec())),
             fit_null_model(assign_bins(shifted(base, 7), BinSpec())),
         )
-        c0 = next(c for c in z0.cells if c.class_name == CLASS_NAMES[3])
-        c1 = next(c for c in z1.cells if c.class_name == CLASS_NAMES[3])
+        c0 = next(c for c in z0 if c.class_name == CLASS_NAMES[3])
+        c1 = next(c for c in z1 if c.class_name == CLASS_NAMES[3])
         assert c1.z == pytest.approx(c0.z, abs=1e-9)
 
     def test_scale_invariance(self):
@@ -255,15 +253,15 @@ class TestZScores:
             fit_null_model(assign_bins(scaled(foc, 5), BinSpec())),
             fit_null_model(assign_bins(scaled(base, 5), BinSpec())),
         )
-        c0 = next(c for c in z0.cells if c.class_name == CLASS_NAMES[3])
-        c1 = next(c for c in z1.cells if c.class_name == CLASS_NAMES[3])
+        c0 = next(c for c in z0 if c.class_name == CLASS_NAMES[3])
+        c1 = next(c for c in z1 if c.class_name == CLASS_NAMES[3])
         assert c1.z == pytest.approx(c0.z, abs=1e-9)
 
     def test_single_census_bin_has_zero_sigma(self):
         baseline = assign_bins([census_of(3, c0=7)], BinSpec())
         focus = assign_bins([census_of(3, c0=9)], BinSpec())
-        report = z_scores(fit_null_model(focus), fit_null_model(baseline))
-        assert all(c.reason == REASON_ZERO_VARIANCE for c in report.cells)
+        cells = z_scores(fit_null_model(focus), fit_null_model(baseline))
+        assert all(c.reason == REASON_ZERO_VARIANCE for c in cells)
 
     def test_matches_an_exact_rational_oracle(self):
         """Means, sigmas and standard errors equal the exact ones rounded, and
@@ -277,16 +275,16 @@ class TestZScores:
             cases.append((LARGE_BINS, large_sample(rng, n_users), large_sample(rng, n_users)))
         for spec, baseline_sample, focus_sample in cases:
             baseline, focus = assign_bins(baseline_sample, spec), assign_bins(focus_sample, spec)
-            report = z_scores(fit_null_model(focus), fit_null_model(baseline))
+            cells = z_scores(fit_null_model(focus), fit_null_model(baseline))
             exact = {}
             for side, binned in (("null", baseline), ("focus", focus)):
                 for b, group in enumerate(binned.groups):
                     for i, moments in enumerate(exact_moments([c.counts for c in group])):
                         exact[side, b, i] = (*moments, len(group))
-            for cell in report.cells:
-                i = CLASS_NAMES.index(cell.class_name)
-                exact_null = exact.get(("null", cell.bin_index, i))
-                exact_focus = exact.get(("focus", cell.bin_index, i))
+            for cell in cells:
+                b, i = spec.labels.index(cell.bin_label), CLASS_NAMES.index(cell.class_name)
+                exact_null = exact.get(("null", b, i))
+                exact_focus = exact.get(("focus", b, i))
                 for moments, got in (
                     (exact_null, (cell.mu_null, cell.sigma_null, cell.se_null)),
                     (exact_focus, (cell.mean_focus, cell.sigma_focus, cell.se_focus)),
@@ -308,86 +306,70 @@ class TestZScores:
             assert fit_null_model(shuffled) == fit_null_model(binned)
 
 
-def hand_report(rows):
-    """ZReport from (bin_label, class_name, mu_null, mean_focus, z) tuples."""
-    cells = []
-    for bin_label, name, mu, mean_focus, z in rows:
-        cells.append(
-            ZCell(
-                bin_index=0,
-                bin_label=bin_label,
-                class_name=name,
-                m_baseline=10,
-                mu_null=mu,
-                sigma_null=1.0,
-                se_null=0.1,
-                n_focus=10,
-                mean_focus=mean_focus,
-                sigma_focus=1.0,
-                se_focus=0.1,
-                z=z,
-                reason=None if z is not None else REASON_ZERO_VARIANCE,
-            )
-        )
-    names = tuple(dict.fromkeys(cell.class_name for cell in cells))
-    return ZReport(names, tuple(cells))
-
-
 class TestClassifyExpression:
     def test_rare_class(self):
-        report = hand_report(
-            [("1-5", "x", 3.0, 2.0, 5.0), ("6-10", "x", 1.0, 4.0, -9.0)]
+        cells = hand_cells(
+            [("1-5", "003", 3.0, 2.0, 5.0), ("6-10", "003", 1.0, 4.0, -9.0)]
         )
-        labeled = classify_expression(report)
-        assert labeled.class_labels["x"] == frozenset({"rare"})
+        labeled = classify_expression(cells)
+        assert labeled.class_labels["003"] == frozenset({"rare"})
         assert labeled.cell_labels == ("rare", "rare")
 
     def test_over_expressed(self):
-        report = hand_report(
-            [("1-5", "x", 12.0, 13.0, 1.5), ("6-10", "x", 20.0, 20.5, 0.5)]
+        cells = hand_cells(
+            [("1-5", "003", 12.0, 13.0, 1.5), ("6-10", "003", 20.0, 20.5, 0.5)]
         )
-        labeled = classify_expression(report)
-        assert labeled.class_labels["x"] == frozenset({"over"})
+        labeled = classify_expression(cells)
+        assert labeled.class_labels["003"] == frozenset({"over"})
         assert labeled.cell_labels == ("over", "equal")
 
     def test_under_expressed(self):
-        report = hand_report([("1-5", "x", 12.0, 1.0, -11.0)])
-        assert classify_expression(report).class_labels["x"] == frozenset({"under"})
+        cells = hand_cells([("1-5", "003", 12.0, 1.0, -11.0)])
+        assert classify_expression(cells).class_labels["003"] == frozenset({"under"})
 
     def test_equal_when_z_in_band(self):
-        report = hand_report(
-            [("1-5", "x", 12.0, 12.5, 0.5), ("6-10", "x", 30.0, 29.0, -1.0)]
+        cells = hand_cells(
+            [("1-5", "003", 12.0, 12.5, 0.5), ("6-10", "003", 30.0, 29.0, -1.0)]
         )
-        labeled = classify_expression(report)
-        assert labeled.class_labels["x"] == frozenset({"equal"})
+        labeled = classify_expression(cells)
+        assert labeled.class_labels["003"] == frozenset({"equal"})
 
     def test_boundary_z_exactly_one_is_equal(self):
-        report = hand_report([("1-5", "x", 12.0, 13.0, 1.0)])
-        assert classify_expression(report).class_labels["x"] == frozenset({"equal"})
+        cells = hand_cells([("1-5", "003", 12.0, 13.0, 1.0)])
+        assert classify_expression(cells).class_labels["003"] == frozenset({"equal"})
 
     def test_mixed_over_and_under(self):
-        report = hand_report(
-            [("1-5", "x", 12.0, 15.0, 3.0), ("6-10", "x", 30.0, 10.0, -2.0)]
+        cells = hand_cells(
+            [("1-5", "003", 12.0, 15.0, 3.0), ("6-10", "003", 30.0, 10.0, -2.0)]
         )
-        labeled = classify_expression(report)
-        assert labeled.class_labels["x"] == frozenset({"over", "under"})
+        labeled = classify_expression(cells)
+        assert labeled.class_labels["003"] == frozenset({"over", "under"})
 
     def test_focus_mean_can_rescue_from_rarity(self):
         # Baseline mean below threshold, focus mean above: class is populated.
-        report = hand_report([("1-5", "x", 2.0, 11.0, 9.0)])
-        assert classify_expression(report).class_labels["x"] == frozenset({"over"})
+        cells = hand_cells([("1-5", "003", 2.0, 11.0, 9.0)])
+        assert classify_expression(cells).class_labels["003"] == frozenset({"over"})
 
     def test_threshold_is_strict(self):
-        report = hand_report([("1-5", "x", 10.0, 10.0, 2.0)])
-        assert classify_expression(report).class_labels["x"] == frozenset({"rare"})
-        assert classify_expression(report, rarity_threshold=9.5).class_labels[
-            "x"
+        cells = hand_cells([("1-5", "003", 10.0, 10.0, 2.0)])
+        assert classify_expression(cells).class_labels["003"] == frozenset({"rare"})
+        assert classify_expression(cells, rarity_threshold=9.5).class_labels[
+            "003"
         ] == frozenset({"over"})
 
     def test_undefined_cells_of_populated_class_get_blank_label(self):
-        report = hand_report(
-            [("1-5", "x", 12.0, 13.0, None), ("6-10", "x", 20.0, 24.0, 2.0)]
+        cells = hand_cells(
+            [("1-5", "003", 12.0, 13.0, None), ("6-10", "003", 20.0, 24.0, 2.0)]
         )
-        labeled = classify_expression(report)
+        labeled = classify_expression(cells)
         assert labeled.cell_labels == ("", "over")
-        assert labeled.class_labels["x"] == frozenset({"over"})
+        assert labeled.class_labels["003"] == frozenset({"over"})
+
+    def test_summary_covers_every_table_class_in_table_order(self):
+        # Cells of two classes, out of table order; no other class has a cell.
+        cells = hand_cells([("1-5", "012-a", 12.0, 15.0, 3.0), ("1-5", "003", 12.0, 12.5, 0.5)])
+        labeled = classify_expression(cells)
+        assert tuple(labeled.class_labels) == CLASS_NAMES
+        assert labeled.class_labels["012-a"] == frozenset({"over"})
+        assert labeled.class_labels["003"] == frozenset({"equal"})
+        assert {labeled.class_labels[name] for name in CLASS_NAMES[2:]} == {frozenset({"rare"})}

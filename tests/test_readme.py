@@ -19,7 +19,7 @@ PUBLIC_NAMES = {
     "DegreeReport", "Ecdf", "ExpressionReport", "FilterPolicy", "InvalidLifetimeError",
     "MacroRecord", "MotifCensus", "NullModel", "PostRecord", "ThreadMotifsError",
     "ThreadRecord", "ThreadValidationError", "UndefinedMetricError", "UserGraph", "ZCell",
-    "ZReport", "assign_bins", "branching_factor", "build_user_graph", "census_fast",
+    "assign_bins", "branching_factor", "build_user_graph", "census_fast",
     "classify_expression", "completion_fractions", "degree_sequences", "ecdf",
     "filter_corpus", "fit_null_model", "get_class_table", "macro_record", "motif_instances",
     "op_betweenness", "parse_numbered", "parse_thread_line", "reciprocity",

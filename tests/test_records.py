@@ -26,10 +26,9 @@ FIELDS = {
     tm.BinnedCensuses: "spec groups unbinned",
     tm.NullModel: "spec sizes sums squares",
     tm.ZCell: (
-        "bin_index bin_label class_name m_baseline mu_null sigma_null se_null n_focus "
-        "mean_focus sigma_focus se_focus z reason"
+        "bin_label class_name m_baseline mu_null sigma_null se_null n_focus mean_focus "
+        "sigma_focus se_focus z reason"
     ),
-    tm.ZReport: "class_names cells",
     tm.ExpressionReport: "cell_labels class_labels",
 }
 
